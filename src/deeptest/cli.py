@@ -112,9 +112,10 @@ def _cmd_train(harness, args) -> int:
     data = generate_training_data(
         config.scenario, root.child(harness._DATA_STREAM), design=config.design, n2_table=n2_table
     )
-    net, report = pipeline.fit_statistic_net(
-        data, config.first_pool, config.first_train, root.child(harness._FIT_STREAM)
-    )
+    with harness.worker_pool(args.workers) as mapper:
+        net, report = pipeline.fit_statistic_net(
+            data, config.first_pool, config.first_train, root.child(harness._FIT_STREAM), mapper
+        )
     document = {
         "format": "deeptest-statistic",
         "version": 1,
@@ -161,17 +162,18 @@ def _cmd_calibrate(harness, args) -> int:
             net, spec, config.sizes.b_prime, config.alpha, root.child(harness._CRIT_STREAM)
         )
     else:
-        crit = pipeline.fit_critical_surface(
-            net,
-            gen_critical_inputs(spec),
-            partial(gen_null_features, spec, design=config.design, n2_table=n2_table),
-            config.sizes.b_prime,
-            config.alpha,
-            config.second_pool,
-            config.second_train,
-            root.child(harness._CRIT_STREAM),
-            mapper=lambda fn, tasks: harness.pmap(fn, tasks, args.workers),
-        )
+        with harness.worker_pool(args.workers) as mapper:
+            crit = pipeline.fit_critical_surface(
+                net,
+                gen_critical_inputs(spec),
+                partial(gen_null_features, spec, design=config.design, n2_table=n2_table),
+                config.sizes.b_prime,
+                config.alpha,
+                config.second_pool,
+                config.second_train,
+                root.child(harness._CRIT_STREAM),
+                mapper=mapper,
+            )
         critical = crit.net
         crit_report = crit.report.as_dict()
     test = pipeline.FittedTest(

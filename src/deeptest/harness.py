@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
+import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -74,6 +75,7 @@ __all__ = [
     "Row",
     "ResultsTable",
     "CacheStore",
+    "worker_pool",
     "pmap",
     "config_hash",
     "config_from_dict",
@@ -115,6 +117,9 @@ _POINT_KEYS = {
 }
 
 _CRITICAL_DIMS = {KIND_UNKNOWN: 1, KIND_BEHRENS_FISHER: 2, KIND_ADAPTIVE: 1}
+
+# environment variables that set the BLAS thread count, recorded per run
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 METRIC_TYPE_I = "type_i"
 METRIC_POWER = "power"
@@ -577,20 +582,28 @@ class CacheStore:
         return np.load(path) if path.exists() else None
 
     def store_array(self, key: dict, value: np.ndarray) -> None:
-        path = self._path(key, ".npy")
-        tmp = path.with_suffix(".tmp.npy")
-        np.save(tmp, np.asarray(value))
-        tmp.replace(path)
+        self._publish(self._path(key, ".npy"), lambda handle: np.save(handle, np.asarray(value)))
 
     def load_text(self, key: dict):
         path = self._path(key, ".json")
         return path.read_text(encoding="utf-8") if path.exists() else None
 
     def store_text(self, key: dict, value: str) -> None:
-        path = self._path(key, ".json")
-        tmp = path.with_suffix(".tmp.json")
-        tmp.write_text(value, encoding="utf-8")
-        tmp.replace(path)
+        self._publish(self._path(key, ".json"), lambda handle: handle.write(value.encode("utf-8")))
+
+    @staticmethod
+    def _publish(path: Path, write) -> None:
+        # each writer fills its own tmp file and renames it over the
+        # artifact atomically, so concurrent writers of one key never
+        # share a partly written file
+        tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+        try:
+            with open(tmp, "xb") as handle:
+                write(handle)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
 
 def _design_key(design: DesignParams, seed: int) -> dict:
@@ -626,19 +639,41 @@ def _star_apply(packed):
     return fn(*args)
 
 
-def pmap(fn, tasks, workers: int = 1) -> list:
-    """Order-preserving map over argument tuples.
+@contextmanager
+def worker_pool(workers: int = 1):
+    """Yield one order-preserving ``mapper(fn, tasks)`` over argument tuples.
 
-    With workers <= 1 the map runs inline; otherwise tasks go to a spawn
-    pool.  Results always come back in task order, so worker count never
-    changes any output.
+    With workers <= 1 every map runs inline.  Otherwise the first map of
+    more than one task starts a spawn pool of ``workers`` processes, which
+    every later map reuses and which is shut down when the block exits,
+    normally or by an error.  Results always come back in task order, so
+    worker count never changes any output.
     """
-    tasks = list(tasks)
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(*task) for task in tasks]
-    ctx = multiprocessing.get_context("spawn")
-    with ctx.Pool(processes=min(workers, len(tasks))) as pool:
+    pool = None
+
+    def mapper(fn, tasks) -> list:
+        nonlocal pool
+        tasks = list(tasks)
+        if workers <= 1 or len(tasks) <= 1:
+            return [fn(*task) for task in tasks]
+        if pool is None:
+            pool = multiprocessing.get_context("spawn").Pool(processes=workers)
         return pool.map(_star_apply, [(fn, task) for task in tasks], chunksize=1)
+
+    try:
+        yield mapper
+    finally:
+        if pool is not None:
+            pool.terminate()
+            pool.join()
+
+
+def pmap(fn, tasks, workers: int = 1) -> list:
+    """Order-preserving map in a pool that lives for this one call (see
+    worker_pool)."""
+    tasks = list(tasks)
+    with worker_pool(min(workers, len(tasks))) as mapper:
+        return mapper(fn, tasks)
 
 
 # ------------------------------------------------------------------ fitting
@@ -649,7 +684,8 @@ def fit_test(config: ExperimentConfig, workers: int = 1, cache=None):
 
     Returns (FittedTest, reassessment table or None).  With a cache, the
     finished bundle is stored under the fit-relevant config fields and
-    reloaded on identical reruns.
+    reloaded on identical reruns.  Both candidate pools and the critical
+    labels share one worker pool.
     """
     root = RandomStream(seed=config.seed)
     spec = config.scenario
@@ -674,48 +710,49 @@ def fit_test(config: ExperimentConfig, workers: int = 1, cache=None):
             spec, root.child(_DATA_STREAM), design=config.design, n2_table=n2_table
         )
 
-    with _stage("fit"):
-        net, report = pipeline.fit_statistic_net(
-            data, config.first_pool, config.first_train, root.child(_FIT_STREAM)
-        )
+    with worker_pool(workers) as mapper:
+        with _stage("fit"):
+            net, report = pipeline.fit_statistic_net(
+                data, config.first_pool, config.first_train, root.child(_FIT_STREAM), mapper
+            )
 
-    with _stage("calibrate"):
-        crit_report = None
-        if spec.kind == KIND_KNOWN:
-            critical = pipeline.calibrate_constant_cutoff(
-                net, spec, config.sizes.b_prime, config.alpha, root.child(_CRIT_STREAM)
+        with _stage("calibrate"):
+            crit_report = None
+            if spec.kind == KIND_KNOWN:
+                critical = pipeline.calibrate_constant_cutoff(
+                    net, spec, config.sizes.b_prime, config.alpha, root.child(_CRIT_STREAM)
+                )
+            else:
+                simulator = partial(
+                    gen_null_features, spec, design=config.design, n2_table=n2_table
+                )
+                crit = pipeline.fit_critical_surface(
+                    net,
+                    gen_critical_inputs(spec),
+                    simulator,
+                    config.sizes.b_prime,
+                    config.alpha,
+                    config.second_pool,
+                    config.second_train,
+                    root.child(_CRIT_STREAM),
+                    mapper=mapper,
+                )
+                critical = crit.net
+                crit_report = crit.report.as_dict()
+            test = FittedTest(
+                statistic_net=net,
+                critical_net=critical,
+                scenario=spec,
+                alpha=config.alpha,
+                provenance={
+                    "config_sha256": config_hash(config),
+                    "seed": config.seed,
+                    "statistic_selection": report.as_dict(),
+                    "critical_selection": crit_report,
+                },
             )
-        else:
-            simulator = partial(
-                gen_null_features, spec, design=config.design, n2_table=n2_table
-            )
-            crit = pipeline.fit_critical_surface(
-                net,
-                gen_critical_inputs(spec),
-                simulator,
-                config.sizes.b_prime,
-                config.alpha,
-                config.second_pool,
-                config.second_train,
-                root.child(_CRIT_STREAM),
-                mapper=lambda fn, tasks: pmap(fn, tasks, workers),
-            )
-            critical = crit.net
-            crit_report = crit.report.as_dict()
-        test = FittedTest(
-            statistic_net=net,
-            critical_net=critical,
-            scenario=spec,
-            alpha=config.alpha,
-            provenance={
-                "config_sha256": config_hash(config),
-                "seed": config.seed,
-                "statistic_selection": report.as_dict(),
-                "critical_selection": crit_report,
-            },
-        )
-        if cache is not None:
-            cache.store_text(bundle_key, pipeline.save_bundle(test))
+            if cache is not None:
+                cache.store_text(bundle_key, pipeline.save_bundle(test))
     return test, n2_table
 
 
@@ -875,6 +912,8 @@ def run_experiment(
                 "wall_time_s": round(time.time() - started, 3),
                 "rows": len(table.rows),
                 "versions": _versions(),
+                "workers": workers,
+                "blas_threads": {var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
             }
             (out / "manifest.json").write_text(
                 json.dumps(manifest, indent=1, sort_keys=True), encoding="utf-8"
@@ -900,14 +939,15 @@ def recalibrate_critical(
     n2_table: np.ndarray,
     stream: RandomStream,
     b_prime: int | None = None,
-    workers: int = 1,
+    mapper=None,
 ) -> FittedTest:
     """Refit the critical surface for a modified design.
 
     The locked statistic network and the selected surface structure are
     kept; only the quantile labels and the surface weights move.  The
     critical surface is design-specific, so any change to n2 limits
-    requires this step before the test is used again.
+    requires this step before the test is used again.  ``mapper`` (from
+    worker_pool) computes the labels; None computes them inline.
     """
     spec = test.scenario
     if spec.kind != KIND_ADAPTIVE:
@@ -926,7 +966,7 @@ def recalibrate_critical(
         pool,
         config.second_train,
         stream,
-        mapper=lambda fn, tasks: pmap(fn, tasks, workers),
+        mapper=mapper,
     )
     return FittedTest(
         statistic_net=test.statistic_net,
@@ -989,7 +1029,8 @@ def asn_for_power(
     The classical methods are statistic-free and search the full cap.  A
     method that cannot reach the target within its search range gets an
     ``unreachable`` row instead of an error.  ASN is the per-group
-    expected size n1 + E[n2].
+    expected size n1 + E[n2].  Every recalibration in the search shares
+    one worker pool.
     """
     if config.scenario.kind != KIND_ADAPTIVE:
         raise ValueError("sample-size search applies to the adaptive scenario")
@@ -1005,83 +1046,84 @@ def asn_for_power(
     base_table = _cached_table(base_design, asn_root.child(0), config.seed, cache)
     methods = ["dnn"] + list(config.comparators)
     rows = []
-    for mi, method in enumerate(methods):
-        m_stream = asn_root.child(10 + mi)
-        recal_cache = {}
-        method_cap = (
-            min(search_cap, config.design.n2_max) if method == "dnn" else search_cap
-        )
-
-        def power_at(cap: int) -> float:
-            design_c = replace(config.design, n2_max=cap)
-            table_c = derive_capped_table(base_table, design_c)
-            if method == "dnn":
-                if cap not in recal_cache:
-                    recal_cache[cap] = recalibrate_critical(
-                        test,
-                        config,
-                        design_c,
-                        table_c,
-                        m_stream.child(2).child(cap),
-                        workers=workers,
-                    )
-                test_c = recal_cache[cap]
-            else:
-                test_c = test
-            return _adaptive_power(
-                method,
-                test_c,
-                design_c,
-                table_c,
-                pi_p,
-                pi_t,
-                power_reps,
-                m_stream.child(1),
-                config.alpha,
-                config.bm_level,
+    with worker_pool(workers) as mapper:
+        for mi, method in enumerate(methods):
+            m_stream = asn_root.child(10 + mi)
+            recal_cache = {}
+            method_cap = (
+                min(search_cap, config.design.n2_max) if method == "dnn" else search_cap
             )
 
-        chosen, achieved = _bisect_cap(
-            power_at, config.design.n2_min, method_cap, target_power, tol
-        )
-        base_label = f"pi_p={pi_p:g},pi_t={pi_t:g}"
-        if chosen is None:
+            def power_at(cap: int) -> float:
+                design_c = replace(config.design, n2_max=cap)
+                table_c = derive_capped_table(base_table, design_c)
+                if method == "dnn":
+                    if cap not in recal_cache:
+                        recal_cache[cap] = recalibrate_critical(
+                            test,
+                            config,
+                            design_c,
+                            table_c,
+                            m_stream.child(2).child(cap),
+                            mapper=mapper,
+                        )
+                    test_c = recal_cache[cap]
+                else:
+                    test_c = test
+                return _adaptive_power(
+                    method,
+                    test_c,
+                    design_c,
+                    table_c,
+                    pi_p,
+                    pi_t,
+                    power_reps,
+                    m_stream.child(1),
+                    config.alpha,
+                    config.bm_level,
+                )
+
+            chosen, achieved = _bisect_cap(
+                power_at, config.design.n2_min, method_cap, target_power, tol
+            )
+            base_label = f"pi_p={pi_p:g},pi_t={pi_t:g}"
+            if chosen is None:
+                rows.append(
+                    Row(
+                        point=f"{base_label},n2_max=unreachable",
+                        method=method,
+                        metric=METRIC_ASN,
+                        value=float("nan"),
+                        mc_se=float("nan"),
+                        reps=0,
+                    )
+                )
+                continue
+            design_f = replace(config.design, n2_max=chosen)
+            table_f = derive_capped_table(base_table, design_f)
+            batch = simulate_trials(pi_p, pi_t, design_f, asn_reps, m_stream.child(3), table_f)
+            per_group = design_f.n1 + batch.n2.astype(np.float64)
+            label = f"{base_label},n2_max={chosen}"
             rows.append(
                 Row(
-                    point=f"{base_label},n2_max=unreachable",
+                    point=label,
                     method=method,
                     metric=METRIC_ASN,
-                    value=float("nan"),
-                    mc_se=float("nan"),
-                    reps=0,
+                    value=float(np.mean(per_group)),
+                    mc_se=float(np.std(per_group) / np.sqrt(asn_reps)),
+                    reps=asn_reps,
                 )
             )
-            continue
-        design_f = replace(config.design, n2_max=chosen)
-        table_f = derive_capped_table(base_table, design_f)
-        batch = simulate_trials(pi_p, pi_t, design_f, asn_reps, m_stream.child(3), table_f)
-        per_group = design_f.n1 + batch.n2.astype(np.float64)
-        label = f"{base_label},n2_max={chosen}"
-        rows.append(
-            Row(
-                point=label,
-                method=method,
-                metric=METRIC_ASN,
-                value=float(np.mean(per_group)),
-                mc_se=float(np.std(per_group) / np.sqrt(asn_reps)),
-                reps=asn_reps,
+            rows.append(
+                Row(
+                    point=label,
+                    method=method,
+                    metric=METRIC_POWER,
+                    value=achieved,
+                    mc_se=float(np.sqrt(achieved * (1.0 - achieved) / power_reps)),
+                    reps=power_reps,
+                )
             )
-        )
-        rows.append(
-            Row(
-                point=label,
-                method=method,
-                metric=METRIC_POWER,
-                value=achieved,
-                mc_se=float(np.sqrt(achieved * (1.0 - achieved) / power_reps)),
-                reps=power_reps,
-            )
-        )
     return ResultsTable(rows=rows)
 
 

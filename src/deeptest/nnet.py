@@ -7,6 +7,11 @@ is the same machine with a linear head trained under squared error.
 
 Everything is float64 and deterministic given ``TrainConfig.seed``: weight
 init, epoch shuffles, and dropout masks all come from one Philox generator.
+Each mask is drawn as float64 uniforms (``gen.random``), kept as a boolean
+keep-mask and applied in place.  During training every weight and bias is
+a view of one flat buffer and every gradient a view of a second one, so an
+Adam step is a fixed handful of whole-buffer ufunc calls; the arithmetic
+per element is the same as a per-array update, bit for bit.
 """
 
 from __future__ import annotations
@@ -181,9 +186,8 @@ def bce_loss(linear_predictors, labels) -> float:
     y = np.asarray(labels, dtype=np.float64)
     if z.shape != y.shape:
         raise ValueError("predictors and labels must have equal length")
-    if np.any((y != 0.0) & (y != 1.0)):
-        raise ValueError("labels must be binary")
-    return float(np.mean(np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))))
+    _check_binary(y)
+    return float(_bce_mean(z, y))
 
 
 def mse_loss(predictions, targets) -> float:
@@ -192,7 +196,20 @@ def mse_loss(predictions, targets) -> float:
     t = np.asarray(targets, dtype=np.float64)
     if p.shape != t.shape:
         raise ValueError("predictions and targets must have equal length")
-    return float(np.mean((p - t) ** 2))
+    return float(_mse_mean(p, t))
+
+
+def _check_binary(y: np.ndarray) -> None:
+    if np.any((y != 0.0) & (y != 1.0)):
+        raise ValueError("labels must be binary")
+
+
+def _bce_mean(z: np.ndarray, y: np.ndarray):
+    return np.mean(np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z))))
+
+
+def _mse_mean(p: np.ndarray, t: np.ndarray):
+    return np.mean((p - t) ** 2)
 
 
 def _unpack(data):
@@ -222,52 +239,74 @@ def _init_params(spec: NetworkSpec, gen: np.random.Generator):
     return weights, biases
 
 
+def _flat_views(widths, buffer: np.ndarray):
+    """Per-layer weight and bias views of one flat float64 buffer."""
+    weights, biases = [], []
+    offset = 0
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        weights.append(buffer[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out))
+        offset += fan_in * fan_out
+        biases.append(buffer[offset : offset + fan_out])
+        offset += fan_out
+    return weights, biases
+
+
 def _forward_train(net: Network, x_std: np.ndarray, gen: np.random.Generator | None):
     """Training-mode forward pass on standardized inputs.
 
     Applies inverted dropout to hidden activations when ``gen`` is given
-    and the spec has a positive rate.  Returns the cache backprop needs.
+    and the spec has a positive rate.  Returns the cache backprop needs:
+    the post-dropout activations and one boolean keep-mask (or None) per
+    hidden layer.
     """
     rate = net.spec.dropout_rate
+    dropout = gen is not None and rate > 0.0
+    inv_keep = 1.0 / (1.0 - rate)
     acts = [x_std]
     masks = []
     a = x_std
     last = len(net.weights) - 1
     for k in range(last):
-        z = a @ net.weights[k] + net.biases[k]
-        a = np.maximum(z, 0.0)
-        if gen is not None and rate > 0.0:
-            mask = (gen.random(a.shape) >= rate) / (1.0 - rate)
-            a = a * mask
-        else:
-            mask = None
-        masks.append(mask)
+        a = a @ net.weights[k]
+        a += net.biases[k]
+        np.maximum(a, 0.0, out=a)
+        keep = None
+        if dropout:
+            keep = gen.random(a.shape) >= rate
+            a *= keep
+            a *= inv_keep
+        masks.append(keep)
         acts.append(a)
     z_out = (a @ net.weights[last] + net.biases[last])[:, 0]
     return z_out, acts, masks
 
 
-def _backprop(net: Network, acts, masks, dz_out: np.ndarray):
+def _backprop(net: Network, acts, masks, dz_out: np.ndarray, out=None):
     """Gradients of the batch loss w.r.t. every weight and bias.
 
     ``dz_out`` is dL/d(final pre-activation), shape (batch,).  ReLU
-    subgradient at exactly 0 is taken as 0 (activation > 0 test).
+    subgradient at exactly 0 is taken as 0 (activation > 0 test).  With
+    ``out = (g_w, g_b)``, lists of arrays shaped like the weights and
+    biases, the gradients are written into them.
     """
+    if out is None:
+        out = ([np.empty_like(w) for w in net.weights], [np.empty_like(b) for b in net.biases])
+    g_w, g_b = out
+    inv_keep = 1.0 / (1.0 - net.spec.dropout_rate)
     last = len(net.weights) - 1
-    g_w = [None] * (last + 1)
-    g_b = [None] * (last + 1)
     delta = dz_out[:, None]
-    g_w[last] = acts[last].T @ delta
-    g_b[last] = delta.sum(axis=0)
+    np.matmul(acts[last].T, delta, out=g_w[last])
+    np.add.reduce(delta, axis=0, out=g_b[last])
     da = delta @ net.weights[last].T
     for k in range(last - 1, -1, -1):
         if masks[k] is not None:
-            da = da * masks[k]
-        dz = da * (acts[k + 1] > 0.0)
-        g_w[k] = acts[k].T @ dz
-        g_b[k] = dz.sum(axis=0)
+            da *= masks[k]
+            da *= inv_keep
+        da *= acts[k + 1] > 0.0
+        np.matmul(acts[k].T, da, out=g_w[k])
+        np.add.reduce(da, axis=0, out=g_b[k])
         if k > 0:
-            da = dz @ net.weights[k].T
+            da = da @ net.weights[k].T
     return g_w, g_b
 
 
@@ -276,7 +315,8 @@ def train(spec: NetworkSpec, data, config: TrainConfig) -> Network:
 
     The standardizer is computed from the training features and stored
     in the returned model.  Raises :class:`TrainingDivergedError` on
-    non-finite inputs or loss.
+    non-finite inputs or loss, and ValueError on non-binary classifier
+    labels.
     """
     x, y = _unpack(data)
     if x.size == 0:
@@ -285,6 +325,9 @@ def train(spec: NetworkSpec, data, config: TrainConfig) -> Network:
         raise ValueError(f"feature dimension {x.shape[1]} != spec input_dim {spec.input_dim}")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise TrainingDivergedError("non-finite training data", epoch=0)
+    classifier = spec.head == HEAD_CLASSIFIER
+    if classifier:
+        _check_binary(y)
 
     shift = x.mean(axis=0)
     scale = x.std(axis=0)
@@ -292,18 +335,24 @@ def train(spec: NetworkSpec, data, config: TrainConfig) -> Network:
     x_std = (x - shift) / scale
 
     gen = np.random.Generator(np.random.Philox(key=config.seed))
-    weights, biases = _init_params(spec, gen)
+    params = np.empty(spec.n_params())
+    weights, biases = _flat_views(spec.widths, params)
+    init_weights, init_biases = _init_params(spec, gen)
+    for view, init in zip(weights + biases, init_weights + init_biases):
+        view[...] = init
     net = Network(spec=spec, weights=weights, biases=biases, shift=shift, scale=scale)
 
-    params = net.weights + net.biases
-    m = [np.zeros_like(p) for p in params]
-    v = [np.zeros_like(p) for p in params]
+    grads = np.empty_like(params)
+    grad_views = _flat_views(spec.widths, grads)
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
+    step_buf = np.empty_like(params)
+    denom_buf = np.empty_like(params)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     lr = config.learning_rate
     step = 0
 
     n = x_std.shape[0]
-    classifier = spec.head == HEAD_CLASSIFIER
     for epoch in range(config.epochs):
         order = gen.permutation(n)
         for start in range(0, n, config.batch_size):
@@ -311,23 +360,33 @@ def train(spec: NetworkSpec, data, config: TrainConfig) -> Network:
             xb, yb = x_std[idx], y[idx]
             z, acts, masks = _forward_train(net, xb, gen)
             if classifier:
-                batch_loss = bce_loss(z, yb)
+                batch_loss = _bce_mean(z, yb)
                 dz = (expit(z) - yb) / idx.size
             else:
-                batch_loss = mse_loss(z, yb)
+                batch_loss = _mse_mean(z, yb)
                 dz = 2.0 * (z - yb) / idx.size
             if not np.isfinite(batch_loss):
                 raise TrainingDivergedError("loss diverged", epoch=epoch)
-            g_w, g_b = _backprop(net, acts, masks, dz)
+            _backprop(net, acts, masks, dz, out=grad_views)
             step += 1
             corr1 = 1.0 - beta1**step
             corr2 = 1.0 - beta2**step
-            for p, g, mi, vi in zip(params, g_w + g_b, m, v):
-                mi *= beta1
-                mi += (1.0 - beta1) * g
-                vi *= beta2
-                vi += (1.0 - beta2) * g * g
-                p -= lr * (mi / corr1) / (np.sqrt(vi / corr2) + eps)
+            # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+            # params -= lr*(m/corr1) / (sqrt(v/corr2) + eps)
+            m *= beta1
+            np.multiply(grads, 1.0 - beta1, out=step_buf)
+            m += step_buf
+            v *= beta2
+            np.multiply(grads, 1.0 - beta2, out=step_buf)
+            step_buf *= grads
+            v += step_buf
+            np.divide(m, corr1, out=step_buf)
+            step_buf *= lr
+            np.divide(v, corr2, out=denom_buf)
+            np.sqrt(denom_buf, out=denom_buf)
+            denom_buf += eps
+            step_buf /= denom_buf
+            params -= step_buf
     return net
 
 

@@ -10,7 +10,10 @@ known).  A decision compares statistic to cutoff with strict inequality.
 Structure selection trains every candidate in the pool on one shared
 80/20 split and keeps the smallest validation loss; per-candidate
 training seeds are derived from the candidate's own architecture, so a
-pool reordering cannot change any candidate's fit.
+pool reordering cannot change any candidate's fit.  Candidates, like
+critical labels, are independent tasks, so any order-preserving
+``mapper(fn, tasks)`` (a worker pool, say) gives the sequential result
+bit for bit.
 """
 
 from __future__ import annotations
@@ -212,15 +215,32 @@ def _val_loss(net: Network, x_val: np.ndarray, y_val: np.ndarray, head: str) -> 
     return nnet.mse_loss(z, y_val)
 
 
+def _map(mapper, fn, tasks) -> list:
+    if mapper is None:
+        return [fn(*task) for task in tasks]
+    return mapper(fn, tasks)
+
+
+def _fit_candidate(spec: NetworkSpec, x_tr, y_tr, x_val, y_val, config: TrainConfig) -> tuple:
+    """Train one candidate; return (validation loss or None, divergence message)."""
+    try:
+        net = nnet.train(spec, (x_tr, y_tr), config)
+    except TrainingDivergedError as err:
+        return None, str(err)
+    return _val_loss(net, x_val, y_val, spec.head), None
+
+
 def select_structure(
-    pool: CandidatePool, data, config: TrainConfig, stream: RandomStream
+    pool: CandidatePool, data, config: TrainConfig, stream: RandomStream, mapper=None
 ) -> tuple:
     """Train every candidate on one shared 80/20 split; return the spec
     with the smallest validation loss and the full loss report.
 
     Exact loss ties break toward fewer parameters, then fewer layers,
     then pool order.  A diverging candidate is excluded with a warning;
-    if every candidate diverges selection fails.
+    if every candidate diverges selection fails.  Candidates go to
+    ``mapper`` largest first, so a small pool of workers stays busy;
+    their losses are reported in pool order.
     """
     features, labels = _unpack_dataset(data)
     n = labels.size
@@ -232,25 +252,35 @@ def select_structure(
     x_tr, y_tr = features[train_idx], labels[train_idx]
     x_val, y_val = features[val_idx], labels[val_idx]
 
+    specs = pool.specs
+    order = sorted(range(len(specs)), key=lambda i: -specs[i].n_params())
+    tasks = [
+        (
+            specs[i],
+            x_tr,
+            y_tr,
+            x_val,
+            y_val,
+            replace(config, seed=derive_seed(stream.child(_spec_key(specs[i])))),
+        )
+        for i in order
+    ]
+    outcomes = [None] * len(specs)
+    for i, outcome in zip(order, _map(mapper, _fit_candidate, tasks)):
+        outcomes[i] = outcome
     losses = []
-    for spec in pool.specs:
-        seed = derive_seed(stream.child(_spec_key(spec)))
-        candidate_config = replace(config, seed=seed)
-        try:
-            net = nnet.train(spec, (x_tr, y_tr), candidate_config)
-        except TrainingDivergedError as err:
-            warnings.warn(f"candidate {spec.hidden_layers} diverged: {err}")
-            losses.append(None)
-            continue
-        losses.append(_val_loss(net, x_val, y_val, pool.head))
+    for spec, (loss, message) in zip(specs, outcomes):
+        if message is not None:
+            warnings.warn(f"candidate {spec.hidden_layers} diverged: {message}")
+        losses.append(loss)
 
     if all(v is None for v in losses):
         raise RuntimeError("every candidate diverged during structure selection")
-    winner = _pick_winner(pool.specs, losses)
+    winner = _pick_winner(specs, losses)
     report = SelectionReport(
         losses=tuple(losses), winner_index=winner, n_train=train_idx.size, n_val=val_idx.size
     )
-    return pool.specs[winner], report
+    return specs[winner], report
 
 
 def _pick_winner(specs, losses) -> int:
@@ -270,16 +300,17 @@ def _unpack_dataset(data):
 
 
 def fit_statistic_net(
-    data, pool: CandidatePool, config: TrainConfig, stream: RandomStream
+    data, pool: CandidatePool, config: TrainConfig, stream: RandomStream, mapper=None
 ) -> tuple:
     """Select a structure, then retrain it on the full dataset.
 
     Returns (network, selection report); the report's losses refer to the
-    selection split, not the final fit.
+    selection split, not the final fit.  ``mapper`` fits the candidates
+    (see select_structure).
     """
     if pool.head != HEAD_CLASSIFIER:
         raise ValueError("statistic pool must use the classifier head")
-    spec, report = select_structure(pool, data, config, stream)
+    spec, report = select_structure(pool, data, config, stream, mapper=mapper)
     final_config = replace(config, seed=derive_seed(stream.child(_RETRAIN_CHILD)))
     net = nnet.train(spec, _unpack_dataset(data), final_config)
     return net, report
@@ -339,11 +370,7 @@ def critical_labels(
         (statistic, rows[l], null_simulator, b_prime, alpha, stream.child(l))
         for l in range(rows.shape[0])
     ]
-    if mapper is None:
-        out = [critical_label_for_row(*task) for task in tasks]
-    else:
-        out = mapper(critical_label_for_row, tasks)
-    return np.asarray(out, dtype=np.float64)
+    return np.asarray(_map(mapper, critical_label_for_row, tasks), dtype=np.float64)
 
 
 def fit_critical_net(
@@ -352,11 +379,13 @@ def fit_critical_net(
     pool: CandidatePool,
     config: TrainConfig,
     stream: RandomStream,
+    mapper=None,
 ) -> CriticalFit:
     """Learn the upper-alpha null quantile surface over the nuisance grid.
 
     Labels come from ``critical_labels``; selection and the final refit
     use substreams of ``stream`` so the whole fit is reproducible.
+    ``mapper`` fits the candidates (see select_structure).
     """
     critical_inputs = np.asarray(critical_inputs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
@@ -367,7 +396,9 @@ def fit_critical_net(
     if pool.head != HEAD_REGRESSOR:
         raise ValueError("critical pool must use the regressor head")
     select_stream = stream.child(_SELECT_CHILD)
-    spec, report = select_structure(pool, (critical_inputs, labels), config, select_stream)
+    spec, report = select_structure(
+        pool, (critical_inputs, labels), config, select_stream, mapper=mapper
+    )
     final_config = replace(config, seed=derive_seed(select_stream.child(_RETRAIN_CHILD)))
     net = nnet.train(spec, (critical_inputs, labels), final_config)
     return CriticalFit(net=net, report=report, inputs=critical_inputs, labels=labels)
@@ -387,7 +418,8 @@ def fit_critical_surface(
     """Label generation plus surface fit in one step.
 
     Labels draw from a dedicated substream so they never collide with the
-    selection and refit substreams used by fit_critical_net.
+    selection and refit substreams used by fit_critical_net.  ``mapper``
+    serves both the labels and the candidate fits.
     """
     labels = critical_labels(
         statistic,
@@ -398,7 +430,7 @@ def fit_critical_surface(
         stream.child(_LABEL_CHILD),
         mapper=mapper,
     )
-    return fit_critical_net(critical_inputs, labels, pool, config, stream)
+    return fit_critical_net(critical_inputs, labels, pool, config, stream, mapper=mapper)
 
 
 # ------------------------------------------------------------------ decide

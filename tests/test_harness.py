@@ -4,7 +4,11 @@ end-to-end determinism, the sample-size search, heatmap export, the
 canned exhibits, and the staged CLI flow."""
 
 import json
+import multiprocessing.pool
 import operator
+import os
+import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -38,7 +42,7 @@ from deeptest.harness import (
 )
 from deeptest.nnet import HEAD_CLASSIFIER, HEAD_REGRESSOR, NetworkSpec, TrainConfig
 from deeptest.pipeline import CandidatePool
-from deeptest.scenarios import adaptive_scenario, known_sigma_scenario
+from deeptest.scenarios import adaptive_scenario, behrens_fisher_scenario, known_sigma_scenario
 from deeptest.ssr import DesignParams, derive_capped_table, simulate_trials
 from deeptest.streams import RandomStream
 
@@ -85,6 +89,42 @@ def tiny_adaptive_config(seed=92, b_prime=20_000, b_val=20_000):
         ),
         second_train=TrainConfig(epochs=600, batch_size=10),
         comparators=("incta", "bm"),
+    )
+
+
+def tiny_behrens_fisher_config(seed=99):
+    # two candidates per fold, so a worker pool fits both folds' candidates
+    sizes = Sizes(b0=1500, b1=1500, b_prime=4000, b_val=4000)
+    spec = behrens_fisher_scenario(
+        mu_p=0.0,
+        sigma_values=(0.9, 1.1),
+        powers=(0.8,),
+        n=30,
+        b0=sizes.b0,
+        b1=sizes.b1,
+        l=16,
+        b_prime=sizes.b_prime,
+    )
+    return ExperimentConfig(
+        scenario=spec,
+        first_pool=CandidatePool(
+            specs=tuple(NetworkSpec(input_dim=3, hidden_layers=h) for h in ((8,), (6, 6)))
+        ),
+        first_train=TrainConfig(epochs=3, batch_size=500),
+        sizes=sizes,
+        seed=seed,
+        validation_points=(
+            {"mu_p": 0.5, "mu_t": 0.5, "sigma_p": 1.0, "sigma_t": 1.0},
+            {"mu_p": 0.5, "mu_t": 1.3, "sigma_p": 1.0, "sigma_t": 1.0},
+        ),
+        second_pool=CandidatePool(
+            specs=tuple(
+                NetworkSpec(input_dim=2, hidden_layers=h, head=HEAD_REGRESSOR)
+                for h in ((8,), (6, 6))
+            )
+        ),
+        second_train=TrainConfig(epochs=40, batch_size=10),
+        comparators=("welch",),
     )
 
 
@@ -330,6 +370,42 @@ def test_cache_key_field_sensitivity(tmp_path):
         assert cache.load_array(edited) is None
 
 
+def test_cache_store_concurrent_writers_one_key(tmp_path):
+    # every writer of one key must publish a whole file: with a shared tmp
+    # name one writer renames another's half-written file, or finds its
+    # own tmp file already renamed away
+    cache = CacheStore(tmp_path)
+    key = {"kind": "race"}
+    size = 100_000
+    errors = []
+
+    def writer(value):
+        try:
+            for _ in range(25):
+                cache.store_array(key, np.full(size, float(value)))
+                cache.store_text(key, str(value) * size)
+                loaded = cache.load_array(key)
+                assert loaded.shape == (size,) and np.all(loaded == loaded[0])
+                text = cache.load_text(key)
+                assert len(text) == size and len(set(text)) == 1
+        except Exception as err:  # reported by the main thread
+            errors.append(err)
+
+    threads = [threading.Thread(target=writer, args=(v,)) for v in range(1, 5)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert sorted(path.suffix for path in tmp_path.iterdir()) == [".json", ".npy"]
+
+
 # -------------------------------------------------------------------- pmap
 
 
@@ -341,6 +417,35 @@ def test_pmap_preserves_task_order():
 def test_pmap_workers_match_inline():
     tasks = [(i, 3) for i in range(6)]
     assert pmap(operator.mul, tasks, workers=2) == pmap(operator.mul, tasks, workers=1)
+
+
+def test_fit_test_holds_one_pool(monkeypatch):
+    starts, maps = [], []
+
+    class CountingPool(multiprocessing.pool.Pool):
+        def __init__(self, *args, **kwargs):
+            starts.append(1)
+            super().__init__(*args, **kwargs)
+
+        def map(self, func, iterable, chunksize=None):
+            maps.append(1)
+            return super().map(func, iterable, chunksize)
+
+    monkeypatch.setattr(multiprocessing.pool, "Pool", CountingPool)
+    fit_test(tiny_behrens_fisher_config(), workers=2)
+    # statistic candidates, critical labels, critical candidates
+    assert (len(starts), len(maps)) == (1, 3)
+    assert multiprocessing.active_children() == []
+
+
+def test_failing_fit_leaves_no_worker(monkeypatch):
+    def explode(*args, **kwargs):
+        raise RuntimeError("surface fit failed")
+
+    monkeypatch.setattr(pipeline, "fit_critical_net", explode)
+    with pytest.raises(StageError, match="calibrate: surface fit failed"):
+        fit_test(tiny_behrens_fisher_config(), workers=2)
+    assert multiprocessing.active_children() == []
 
 
 # --------------------------------------------------------------- known flow
@@ -365,6 +470,11 @@ def test_run_experiment_known_tracks_z(tmp_path):
     assert manifest["config_sha256"] == config_hash(config)
     assert manifest["seed"] == config.seed
     assert set(manifest["versions"]) == {"deeptest", "numpy", "scipy"}
+    assert manifest["workers"] == 1
+    assert manifest["blas_threads"] == {
+        var: os.environ.get(var)
+        for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+    }
 
 
 def test_run_experiment_rerun_bit_identical(tmp_path):
@@ -432,6 +542,17 @@ def test_adaptive_workers_bit_identical(tmp_path):
     run_experiment(config, workers=2, out_dir=tmp_path / "w2")
     for name in ("results.csv", "bundle.json"):
         assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
+
+
+def test_behrens_fisher_workers_bit_identical(tmp_path):
+    config = tiny_behrens_fisher_config()
+    run_experiment(config, workers=1, out_dir=tmp_path / "w1")
+    run_experiment(config, workers=2, out_dir=tmp_path / "w2")
+    for name in ("results.csv", "bundle.json"):
+        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
+    manifest = json.loads((tmp_path / "w2" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["workers"] == 2
+    assert multiprocessing.active_children() == []
 
 
 def test_recalibration_ab_type_i(adaptive_fit):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from deeptest import nnet, pipeline
+from deeptest.harness import worker_pool
 from deeptest.classical import t_decisions, z_decisions
 from deeptest.nnet import (
     HEAD_CLASSIFIER,
@@ -46,6 +47,13 @@ KNOWN_MU1 = 0.414
 TINY_DESIGN = DesignParams(
     n1=12, n2_min=5, n2_max=60, cep_target=0.8, gamma=0.001, alpha=0.05, cep_mc_iters=2000
 )
+
+
+def _reversed_mapper(fn, tasks):
+    out = [None] * len(tasks)
+    for i in reversed(range(len(tasks))):
+        out[i] = fn(*tasks[i])
+    return out
 
 
 def _toy_dataset(n=2000, seed=11):
@@ -365,6 +373,63 @@ def test_fit_statistic_deterministic():
     assert all(np.array_equal(ba, bb) for ba, bb in zip(net_a.biases, net_b.biases))
 
 
+def test_select_mapped_candidates_match_inline():
+    # candidates are independent tasks: a reversed in-process map and a
+    # two-process pool reproduce the inline selection and refit bit for bit
+    x, y = _toy_dataset()
+    pool = pipeline.CandidatePool(
+        specs=tuple(
+            NetworkSpec(input_dim=1, hidden_layers=layers, dropout_rate=0.1)
+            for layers in ((8,), (12, 6), (4,))
+        )
+    )
+    config = TrainConfig(epochs=3, batch_size=100)
+    dispatched = []
+
+    def recording_mapper(fn, tasks):
+        dispatched.extend(task[0] for task in tasks)
+        return _reversed_mapper(fn, tasks)
+
+    net, report = pipeline.fit_statistic_net((x, y), pool, config, ROOT.child(19))
+    fits = [pipeline.fit_statistic_net((x, y), pool, config, ROOT.child(19), recording_mapper)]
+    with worker_pool(2) as mapper:
+        fits.append(pipeline.fit_statistic_net((x, y), pool, config, ROOT.child(19), mapper))
+    for other_net, other_report in fits:
+        assert other_report == report
+        assert nnet.save(other_net) == nnet.save(net)
+    # largest candidate first, so two workers finish close together
+    assert dispatched == [pool.specs[1], pool.specs[0], pool.specs[2]]
+
+
+def test_select_mapped_divergence_warns_in_parent(monkeypatch):
+    x, y = _toy_dataset()
+    bad = NetworkSpec(input_dim=1, hidden_layers=(7,))
+    good = NetworkSpec(input_dim=1, hidden_layers=(8,))
+    real_train = nnet.train
+
+    def flaky_train(spec, data, config):
+        if spec.hidden_layers == (7,):
+            raise TrainingDivergedError("loss became non-finite", 1)
+        return real_train(spec, data, config)
+
+    def worker_like_mapper(fn, tasks):
+        # warnings raised inside a pool worker never reach the parent, so
+        # a task must report divergence rather than warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return _reversed_mapper(fn, tasks)
+
+    monkeypatch.setattr(nnet, "train", flaky_train)
+    pool = pipeline.CandidatePool(specs=(bad, good))
+    with pytest.warns(UserWarning, match=r"candidate \(7,\) diverged: loss became non-finite"):
+        chosen, report = pipeline.select_structure(
+            pool, (x, y), TrainConfig(epochs=2, batch_size=100), ROOT.child(14), worker_like_mapper
+        )
+    assert chosen == good
+    assert report.losses[0] is None
+    assert report.winner_index == 1
+
+
 # ----------------------------------------------------------- statistic net
 
 
@@ -497,13 +562,6 @@ def test_critical_labels_mapper_is_order_safe(unknown_fit):
     spec = test.scenario
     inputs = np.linspace(0.8, 2.0, 7)[:, None]
     stream = ROOT.child(29)
-
-    def reversed_mapper(fn, tasks):
-        out = [None] * len(tasks)
-        for i in reversed(range(len(tasks))):
-            out[i] = fn(*tasks[i])
-        return out
-
     direct = pipeline.critical_labels(
         test.statistic_net, inputs, partial(gen_null_features, spec), 5_000, 0.05, stream
     )
@@ -514,7 +572,7 @@ def test_critical_labels_mapper_is_order_safe(unknown_fit):
         5_000,
         0.05,
         stream,
-        mapper=reversed_mapper,
+        mapper=_reversed_mapper,
     )
     assert np.array_equal(direct, mapped)
 

@@ -11,6 +11,16 @@ that reproduces the benchmark tables.
 
 __version__ = "0.1.0"
 
+import os
+
+# One BLAS thread unless the environment says otherwise.  Set before the
+# first numpy import below, because OpenBLAS reads it once at load: the
+# bits of a matmul depend on the thread count, and spawned workers
+# inherit the variables, so pooled and inline fits stay identical.
+for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .streams import RandomStream, derive_seed
 from .stats import (
     SampleSummary,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -106,9 +105,7 @@ def _cmd_train(harness, args) -> int:
     root = RandomStream(seed=config.seed)
     n2_table = None
     if config.design is not None:
-        n2_table = harness._cached_table(
-            config.design, root.child(harness._TABLE_STREAM), config.seed, _cache(harness, args)
-        )
+        n2_table = harness._cached_table(config.design, _cache(harness, args))
     data = generate_training_data(
         config.scenario, root.child(harness._DATA_STREAM), design=config.design, n2_table=n2_table
     )
@@ -154,9 +151,7 @@ def _cmd_calibrate(harness, args) -> int:
     crit_report = None
     n2_table = None
     if config.design is not None:
-        n2_table = harness._cached_table(
-            config.design, root.child(harness._TABLE_STREAM), config.seed, _cache(harness, args)
-        )
+        n2_table = harness._cached_table(config.design, _cache(harness, args))
     if spec.kind == KIND_KNOWN:
         critical = pipeline.calibrate_constant_cutoff(
             net, spec, config.sizes.b_prime, config.alpha, root.child(harness._CRIT_STREAM)
@@ -196,16 +191,12 @@ def _cmd_calibrate(harness, args) -> int:
 
 def _cmd_validate(harness, args) -> int:
     from . import pipeline
-    from .streams import RandomStream
 
     config = _load_single_config(harness, args)
     test = pipeline.load_bundle(Path(args.bundle).read_text(encoding="utf-8"))
     n2_table = None
     if config.design is not None:
-        root = RandomStream(seed=config.seed)
-        n2_table = harness._cached_table(
-            config.design, root.child(harness._TABLE_STREAM), config.seed, _cache(harness, args)
-        )
+        n2_table = harness._cached_table(config.design, _cache(harness, args))
     table = harness.validate(test, config, workers=args.workers, n2_table=n2_table)
     path = _out_dir(args) / "results.csv"
     table.to_csv(path)
@@ -260,21 +251,20 @@ def _cmd_heatmap(harness, args) -> int:
     from .streams import RandomStream
 
     config = _load_single_config(harness, args)
-    test, n2_table = harness.fit_test(
-        config, workers=args.workers, cache=_cache(harness, args)
-    )
     path = _out_dir(args) / f"heatmap_{args.pi_p:g}_{args.pi_t:g}.csv"
-    harness.heatmap_export(
-        test,
-        config.design,
-        n2_table,
-        args.pi_p,
-        args.pi_t,
-        args.reps,
-        RandomStream(seed=config.seed).child(7),
-        path=path,
-        workers=args.workers,
-    )
+    with harness.worker_pool(args.workers) as mapper:
+        test, n2_table = harness.fit_test(config, cache=_cache(harness, args), mapper=mapper)
+        harness.heatmap_export(
+            test,
+            config.design,
+            n2_table,
+            args.pi_p,
+            args.pi_t,
+            args.reps,
+            RandomStream(seed=config.seed).child(7),
+            path=path,
+            mapper=mapper,
+        )
     print(path)
     return 0
 
@@ -308,10 +298,6 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    # single-threaded BLAS in any spawned worker keeps results identical
-    # across worker counts; set before children start
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, "1")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

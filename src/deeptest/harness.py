@@ -13,8 +13,11 @@ reruns and across worker counts.
 
 Root substream assignment:
 
-    0 reassessment table    1 training data    2 statistic fit
+    0 (unused)              1 training data    2 statistic fit
     3 critical calibration  4 validation       5 sample-size search
+
+The reassessment table is seed-free (a quadrature, see ssr), so one
+table serves every seed of a design.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ import json
 import multiprocessing
 import os
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -95,7 +98,6 @@ __all__ = [
     "EXHIBITS",
 ]
 
-_TABLE_STREAM = 0
 _DATA_STREAM = 1
 _FIT_STREAM = 2
 _CRIT_STREAM = 3
@@ -120,6 +122,10 @@ _CRITICAL_DIMS = {KIND_UNKNOWN: 1, KIND_BEHRENS_FISHER: 2, KIND_ADAPTIVE: 1}
 
 # environment variables that set the BLAS thread count, recorded per run
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+# modules whose source salts each cached artifact's key
+_TABLE_SOURCES = ("ssr", "stats")
+_BUNDLE_SOURCES = ("ssr", "stats", "streams", "scenarios", "nnet", "pipeline")
 
 METRIC_TYPE_I = "type_i"
 METRIC_POWER = "power"
@@ -303,7 +309,6 @@ def config_to_dict(config: ExperimentConfig) -> dict:
             "cep_target": config.design.cep_target,
             "gamma": config.design.gamma,
             "alpha": config.design.alpha,
-            "cep_mc_iters": config.design.cep_mc_iters,
         }
     if config.second_pool is not None:
         doc["second_pool"] = _pool_to_dict(config.second_pool)
@@ -319,13 +324,22 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         sizes=Sizes(**doc["sizes"]),
         seed=doc["seed"],
         validation_points=tuple(dict(p) for p in doc["validation_points"]),
-        design=DesignParams(**doc["design"]) if "design" in doc else None,
+        design=_design_from_doc(doc["design"]) if "design" in doc else None,
         second_pool=_pool_from_dict(doc["second_pool"]) if "second_pool" in doc else None,
         second_train=_train_from_dict(doc["second_train"]) if "second_train" in doc else None,
         comparators=tuple(doc.get("comparators", ())),
         alpha=doc.get("alpha", 0.05),
         bm_level=doc.get("bm_level", 0.033),
     )
+
+
+def _design_from_doc(doc: dict) -> DesignParams:
+    if "cep_mc_iters" in doc:
+        raise ValueError(
+            "design key 'cep_mc_iters' was removed: CEP is now a fixed Gauss-Jacobi "
+            "quadrature with no Monte Carlo size; delete the key"
+        )
+    return DesignParams(**doc)
 
 
 def _canonical_json(doc) -> str:
@@ -439,7 +453,7 @@ def _config_from_cfg_doc(doc: dict) -> ExperimentConfig:
             doc["second_fold"], _CRITICAL_DIMS[kind], HEAD_REGRESSOR
         )
         second_train = _train_from_cfg(doc["second_fold"])
-    design = DesignParams(**doc["design"]) if "design" in doc else None
+    design = _design_from_doc(doc["design"]) if "design" in doc else None
     return ExperimentConfig(
         scenario=scenario,
         first_pool=first_pool,
@@ -606,27 +620,36 @@ class CacheStore:
             raise
 
 
-def _design_key(design: DesignParams, seed: int) -> dict:
+@lru_cache(maxsize=None)
+def _source_digest(modules: tuple) -> str:
+    """sha256 of the named package modules' source files, in order."""
+    digest = hashlib.sha256()
+    for name in modules:
+        digest.update(f"{name}\0".encode())
+        digest.update((Path(__file__).parent / f"{name}.py").read_bytes())
+    return digest.hexdigest()
+
+
+def _design_key(design: DesignParams) -> dict:
     return {
         "kind": "n2-table",
-        "seed": seed,
+        "source": _source_digest(_TABLE_SOURCES),
         "n1": design.n1,
         "n2_min": design.n2_min,
         "n2_max": design.n2_max,
         "cep_target": design.cep_target,
         "gamma": design.gamma,
         "alpha": design.alpha,
-        "cep_mc_iters": design.cep_mc_iters,
     }
 
 
-def _cached_table(design: DesignParams, stream: RandomStream, seed: int, cache) -> np.ndarray:
+def _cached_table(design: DesignParams, cache) -> np.ndarray:
     if cache is None:
-        return n2_lookup_table(design, stream)
-    key = _design_key(design, seed)
+        return n2_lookup_table(design)
+    key = _design_key(design)
     table = cache.load_array(key)
     if table is None:
-        table = n2_lookup_table(design, stream)
+        table = n2_lookup_table(design)
         cache.store_array(key, table)
     return table
 
@@ -676,16 +699,24 @@ def pmap(fn, tasks, workers: int = 1) -> list:
         return mapper(fn, tasks)
 
 
+def _pool_for(mapper, workers: int):
+    """Context yielding ``mapper`` when a caller passes one in, else a
+    worker_pool of ``workers`` for this call alone."""
+    return nullcontext(mapper) if mapper is not None else worker_pool(workers)
+
+
 # ------------------------------------------------------------------ fitting
 
 
-def fit_test(config: ExperimentConfig, workers: int = 1, cache=None):
+def fit_test(config: ExperimentConfig, workers: int = 1, cache=None, mapper=None):
     """Generate training data, fit both folds, calibrate the cutoff.
 
     Returns (FittedTest, reassessment table or None).  With a cache, the
-    finished bundle is stored under the fit-relevant config fields and
-    reloaded on identical reruns.  Both candidate pools and the critical
-    labels share one worker pool.
+    finished bundle is stored under the fit-relevant config fields and a
+    digest of the fitting code, and reloaded on identical reruns.  Both
+    candidate pools and the critical labels share one worker pool: the
+    caller's ``mapper`` (from worker_pool) if given, else one of
+    ``workers`` processes.
     """
     root = RandomStream(seed=config.seed)
     spec = config.scenario
@@ -694,15 +725,17 @@ def fit_test(config: ExperimentConfig, workers: int = 1, cache=None):
     with _stage("generate"):
         n2_table = None
         if adaptive:
-            n2_table = _cached_table(
-                config.design, root.child(_TABLE_STREAM), config.seed, cache
-            )
+            n2_table = _cached_table(config.design, cache)
         bundle_key = None
         if cache is not None:
             doc = config_to_dict(config)
             for volatile in ("validation_points", "comparators", "bm_level"):
                 doc.pop(volatile, None)
-            bundle_key = {"kind": "fitted-test", "config": doc}
+            bundle_key = {
+                "kind": "fitted-test",
+                "source": _source_digest(_BUNDLE_SOURCES),
+                "config": doc,
+            }
             cached = cache.load_text(bundle_key)
             if cached is not None:
                 return pipeline.load_bundle(cached), n2_table
@@ -710,7 +743,7 @@ def fit_test(config: ExperimentConfig, workers: int = 1, cache=None):
             spec, root.child(_DATA_STREAM), design=config.design, n2_table=n2_table
         )
 
-    with worker_pool(workers) as mapper:
+    with _pool_for(mapper, workers) as mapper:
         with _stage("fit"):
             net, report = pipeline.fit_statistic_net(
                 data, config.first_pool, config.first_train, root.child(_FIT_STREAM), mapper
@@ -864,8 +897,10 @@ def validate(
     workers: int = 1,
     n2_table=None,
     stream: RandomStream | None = None,
+    mapper=None,
 ) -> ResultsTable:
-    """Run the config's validation grid against a fitted test."""
+    """Run the config's validation grid against a fitted test, in the
+    caller's ``mapper`` if given, else in a pool of ``workers``."""
     if stream is None:
         stream = RandomStream(seed=config.seed).child(_VAL_STREAM)
     tasks = [
@@ -882,7 +917,10 @@ def validate(
         for i, point in enumerate(config.validation_points)
     ]
     with _stage("validate"):
-        row_lists = pmap(validate_point, tasks, workers)
+        if mapper is None:
+            row_lists = pmap(validate_point, tasks, workers)
+        else:
+            row_lists = mapper(validate_point, tasks)
     return ResultsTable(rows=[row for rows in row_lists for row in rows])
 
 
@@ -891,15 +929,18 @@ def run_experiment(
     workers: int = 1,
     out_dir=None,
     cache=None,
+    mapper=None,
 ):
     """Full pipeline: fit both folds, validate, persist artifacts.
 
     Returns (ResultsTable, FittedTest).  With out_dir set, writes
-    results.csv, bundle.json, and manifest.json there.
+    results.csv, bundle.json, and manifest.json there.  Fit and
+    validation share one worker pool (the caller's ``mapper`` if given).
     """
     started = time.time()
-    test, n2_table = fit_test(config, workers=workers, cache=cache)
-    table = validate(test, config, workers=workers, n2_table=n2_table)
+    with _pool_for(mapper, workers) as mapper:
+        test, n2_table = fit_test(config, cache=cache, mapper=mapper)
+        table = validate(test, config, n2_table=n2_table, mapper=mapper)
     with _stage("persist"):
         if out_dir is not None:
             out = Path(out_dir)
@@ -1016,6 +1057,7 @@ def asn_for_power(
     workers: int = 1,
     cache=None,
     test: FittedTest | None = None,
+    mapper=None,
 ) -> ResultsTable:
     """Smallest n2_max reaching the target power, and its ASN, per method.
 
@@ -1029,8 +1071,9 @@ def asn_for_power(
     The classical methods are statistic-free and search the full cap.  A
     method that cannot reach the target within its search range gets an
     ``unreachable`` row instead of an error.  ASN is the per-group
-    expected size n1 + E[n2].  Every recalibration in the search shares
-    one worker pool.
+    expected size n1 + E[n2].  The fit (when no test is given) and every
+    recalibration in the search share one worker pool: the caller's
+    ``mapper`` if given, else one of ``workers`` processes.
     """
     if config.scenario.kind != KIND_ADAPTIVE:
         raise ValueError("sample-size search applies to the adaptive scenario")
@@ -1038,15 +1081,13 @@ def asn_for_power(
         raise ValueError("target power must lie in [0, 1)")
     if search_cap < config.design.n2_min:
         raise ValueError("search cap below the design's n2_min")
-    root = RandomStream(seed=config.seed)
-    asn_root = root.child(_ASN_STREAM)
-    if test is None:
-        test, _ = fit_test(config, workers=workers, cache=cache)
-    base_design = replace(config.design, n2_max=search_cap)
-    base_table = _cached_table(base_design, asn_root.child(0), config.seed, cache)
+    asn_root = RandomStream(seed=config.seed).child(_ASN_STREAM)
+    base_table = _cached_table(replace(config.design, n2_max=search_cap), cache)
     methods = ["dnn"] + list(config.comparators)
     rows = []
-    with worker_pool(workers) as mapper:
+    with _pool_for(mapper, workers) as mapper:
+        if test is None:
+            test, _ = fit_test(config, cache=cache, mapper=mapper)
         for mi, method in enumerate(methods):
             m_stream = asn_root.child(10 + mi)
             recal_cache = {}
@@ -1194,11 +1235,13 @@ def heatmap_export(
     stream: RandomStream,
     path=None,
     workers: int = 1,
+    mapper=None,
 ) -> np.ndarray:
     """Rejection probability per stage-1 cell by conditional simulation.
 
     ``grid[i, j]`` is Pr(reject | x_p1 = i, x_t1 = j) with stage-2 data
-    drawn at the given rates; the grid is (n1+1) x (n1+1).
+    drawn at the given rates; the grid is (n1+1) x (n1+1).  Rows run in
+    the caller's ``mapper`` if given, else in a pool of ``workers``.
     """
     if test.scenario.kind != KIND_ADAPTIVE:
         raise ValueError("heatmaps apply to the adaptive scenario")
@@ -1210,7 +1253,10 @@ def heatmap_export(
         for x_p1 in range(side)
     ]
     with _stage("heatmap"):
-        rows = pmap(_heatmap_row, tasks, workers)
+        if mapper is None:
+            rows = pmap(_heatmap_row, tasks, workers)
+        else:
+            rows = mapper(_heatmap_row, tasks)
     grid = np.vstack(rows)
     if path is not None:
         np.savetxt(path, grid, fmt="%.17g", delimiter=",")
@@ -1371,7 +1417,7 @@ def _prefixed(rows: list, prefix: str) -> list:
     return [replace(row, point=f"{prefix},{row.point}") for row in rows]
 
 
-def _reproduce_runs(table_id: str, scale: float, seed, workers, cache) -> ResultsTable:
+def _reproduce_runs(table_id: str, scale: float, seed, workers, cache, mapper) -> ResultsTable:
     rows = []
     for name in _EXHIBIT_FILES[table_id]:
         for config in load_config(packaged_config(name)):
@@ -1386,50 +1432,33 @@ def _reproduce_runs(table_id: str, scale: float, seed, workers, cache) -> Result
                 prefix = f"n={spec.n}"
             else:
                 prefix = None
-            table, _ = run_experiment(config, workers=workers, cache=cache)
+            table, _ = run_experiment(config, workers=workers, cache=cache, mapper=mapper)
             rows.extend(table.rows if prefix is None else _prefixed(table.rows, prefix))
     return ResultsTable(rows=rows)
 
 
-def reproduce(
-    table_id: str,
-    scale: float = 1.0,
-    workers: int = 1,
-    out_dir=None,
-    cache=None,
-    seed: int | None = None,
-) -> ResultsTable:
-    """Run a canned exhibit with all Monte Carlo sizes scaled.
-
-    Emits a ResultsTable; with out_dir set, writes a side-by-side CSV
-    (reference value next to the reproduced value) for external review.
-    """
-    if table_id not in EXHIBITS:
-        raise ValueError(f"unknown exhibit {table_id!r}; choose from {EXHIBITS}")
-    if not 0.0 < scale <= 1.0:
-        raise ValueError("scale must lie in (0, 1]")
-
+def _reproduce_table(table_id: str, scale: float, seed, workers, out_dir, cache, mapper):
     if table_id == "T2":
         (config,) = load_config(packaged_config("musec.cfg"))
         config = scaled_config(config, scale)
         if seed is not None:
             config = with_seed(config, seed)
-        table = asn_for_power(
+        return asn_for_power(
             config,
             target_power=0.90,
             pi_p=0.27,
             pi_t=0.40,
             power_reps=max(2_000, config.sizes.b_val // 2),
             asn_reps=max(2_000, config.sizes.b_val),
-            workers=workers,
             cache=cache,
+            mapper=mapper,
         )
-    elif table_id == "F1":
+    if table_id == "F1":
         (config,) = load_config(packaged_config("musec.cfg"))
         config = scaled_config(config, scale)
         if seed is not None:
             config = with_seed(config, seed)
-        test, n2_table = fit_test(config, workers=workers, cache=cache)
+        test, n2_table = fit_test(config, cache=cache, mapper=mapper)
         stream = RandomStream(seed=config.seed).child(7)
         reps = max(200, round(10_000 * scale))
         rows = []
@@ -1447,7 +1476,7 @@ def reproduce(
                 reps,
                 stream.child(0 if panel == "null" else 1),
                 path=path,
-                workers=workers,
+                mapper=mapper,
             )
             metric = METRIC_TYPE_I if panel == "null" else METRIC_POWER
             rows.append(
@@ -1471,10 +1500,31 @@ def reproduce(
                     reps=reps,
                 )
             )
-        table = ResultsTable(rows=rows)
-    else:
-        table = _reproduce_runs(table_id, scale, seed, workers, cache)
+        return ResultsTable(rows=rows)
+    return _reproduce_runs(table_id, scale, seed, workers, cache, mapper)
 
+
+def reproduce(
+    table_id: str,
+    scale: float = 1.0,
+    workers: int = 1,
+    out_dir=None,
+    cache=None,
+    seed: int | None = None,
+) -> ResultsTable:
+    """Run a canned exhibit with all Monte Carlo sizes scaled.
+
+    Emits a ResultsTable; with out_dir set, writes a side-by-side CSV
+    (reference value next to the reproduced value) for external review.
+    Every experiment of the exhibit runs in one worker pool.
+    """
+    if table_id not in EXHIBITS:
+        raise ValueError(f"unknown exhibit {table_id!r}; choose from {EXHIBITS}")
+    if not 0.0 < scale <= 1.0:
+        raise ValueError("scale must lie in (0, 1]")
+
+    with worker_pool(workers) as mapper:
+        table = _reproduce_table(table_id, scale, seed, workers, out_dir, cache, mapper)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

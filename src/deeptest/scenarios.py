@@ -64,7 +64,6 @@ KIND_ADAPTIVE = "adaptive-binomial"
 _KINDS = (KIND_KNOWN, KIND_UNKNOWN, KIND_BEHRENS_FISHER, KIND_ADAPTIVE)
 
 _SHUFFLE_CHILD = 0x53484646
-_TABLE_CHILD = 0x7AB1E
 
 _FEATURE_NAMES = {
     KIND_KNOWN: ("mean",),
@@ -417,14 +416,14 @@ def gen_adaptive(
     """Labeled two-stage trial summaries over the null-rate grid.
 
     n2 is data-dependent, so every example comes from simulating the full
-    reassessed trial.  Passing a precomputed reassessment table keeps the
-    result bit-reproducible across callers; without one, a table is built
-    from a reserved substream.
+    reassessed trial.  Without a precomputed reassessment table, the
+    design's table is built here (it is seed-free, so the result is the
+    same either way).
     """
     if spec.kind != KIND_ADAPTIVE:
         raise ValueError("spec kind must be adaptive-binomial")
     if n2_table is None:
-        n2_table = n2_lookup_table(design, stream.child(_TABLE_CHILD))
+        n2_table = n2_lookup_table(design)
     b0, b1 = spec.counts.b0, spec.counts.b1
     blocks = []
     labels = []
@@ -525,7 +524,7 @@ def gen_null_features(
     if design is None:
         raise ValueError("adaptive scenario needs DesignParams")
     if n2_table is None:
-        n2_table = n2_lookup_table(design, stream.child(_TABLE_CHILD))
+        n2_table = n2_lookup_table(design)
     rate = float(np.ravel(nuisance)[0])
     batch = simulate_trials(rate, rate, design, reps, stream, n2_table)
     return batch.statistic_features(design.n1)

@@ -5,8 +5,14 @@ interim data drives a conditional-expected-power (CEP) rule that picks the
 stage-2 per-group size ``n2`` inside the design bounds.  Reassessment
 depends on the data only through the stage-1 counts, so bulk simulation
 precomputes ``n2`` for every (x_p1, x_t1) cell once per design and replays
-trials by table lookup; the table builder calls the same ``reassess_n2``
-code on per-cell substreams, which keeps the two paths bit-identical.
+trials by table lookup.
+
+CEP is an expectation over two Beta priors, computed by a tensor
+Gauss-Jacobi rule of QUAD_NODES nodes per prior (Golub-Welsch nodes from
+``numpy.linalg.eigh``), so the table is a function of the design alone:
+no seed and no random draws.  ``reassess_n2`` runs the table builder's
+row code on a block of one cell, so the no-table path equals the table
+path by construction.
 
 INCTA (inverse-normal combination) and BM (pooled test at an adjusted
 level) comparators share the reassessment path, as do all reported ASN
@@ -28,6 +34,7 @@ __all__ = [
     "TrialBatch",
     "proportion_stat",
     "conditional_power",
+    "beta_rule",
     "conditional_expected_power",
     "reassess_n2",
     "n2_lookup_table",
@@ -41,8 +48,10 @@ __all__ = [
     "calibrate_bm",
 ]
 
-_REASSESS_CHILD = 0xA5
 _CLIP = 1e-12
+# Gauss-Jacobi nodes per prior: the smallest count whose n2 tables equal
+# 96-node tables on musec.cfg, musec_designs.cfg and an n1 = 12 design
+QUAD_NODES = 36
 
 
 @dataclass(frozen=True)
@@ -55,7 +64,6 @@ class DesignParams:
     cep_target: float = 0.8
     gamma: float = 0.001
     alpha: float = 0.05
-    cep_mc_iters: int = 10_000
 
     def __post_init__(self):
         if self.n1 < 1:
@@ -68,8 +76,6 @@ class DesignParams:
             raise ValueError("gamma must be positive")
         if not 0.0 < self.alpha < 0.5:
             raise ValueError("alpha must lie in (0, 0.5)")
-        if self.cep_mc_iters < 1:
-            raise ValueError("cep_mc_iters must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -152,23 +158,56 @@ def conditional_power(m1, n1: int, n2, pi_t, pi_p, alpha: float):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def beta_rule(a: float, b: float, nodes: int):
+    """Gauss-Jacobi rule for an expectation over Beta(a, b).
+
+    Returns (nodes on (0, 1), weights summing to 1); the rule is exact for
+    polynomials of degree below 2 * nodes.  Golub-Welsch: the nodes are
+    the eigenvalues of the Jacobi matrix of the monic Jacobi recurrence
+    with alpha = b - 1, beta = a - 1, shifted from [-1, 1] to [0, 1], and
+    the weights the squared first components of its eigenvectors.
+    """
+    al, be = b - 1.0, a - 1.0
+    k = np.arange(1, nodes, dtype=np.float64)
+    s = 2.0 * k + al + be
+    diag = np.empty(nodes)
+    diag[0] = (be - al) / (al + be + 2.0)
+    diag[1:] = (be * be - al * al) / (s * (s + 2.0))
+    off2 = np.empty(nodes - 1)
+    # k = 1 with the common factor (1 + alpha + beta) cancelled
+    off2[:1] = 4.0 * (1.0 + al) * (1.0 + be) / ((2.0 + al + be) ** 2 * (3.0 + al + be))
+    k, s = k[1:], s[1:]
+    off2[1:] = 4.0 * k * (k + al) * (k + be) * (k + al + be) / (s * s * (s + 1.0) * (s - 1.0))
+    off = 0.5 * np.sqrt(off2)
+    jacobi = np.diag(0.5 * (1.0 + diag)) + np.diag(off, 1) + np.diag(off, -1)
+    x, vectors = np.linalg.eigh(jacobi)
+    weights = vectors[0] ** 2
+    return np.clip(x, _CLIP, 1.0 - _CLIP), weights / weights.sum()
+
+
+def _cep(m1, n1: int, n2, t_rule: tuple, p_rule: tuple, alpha: float) -> np.ndarray:
+    # CEP of k cells by the tensor rule: m1 and n2 have shape (k,), the
+    # treatment rule (k, q) per cell, the placebo rule (q,) is shared.
+    # Every sum runs along the last axis, one cell at a time, so a cell's
+    # value does not depend on the other cells in the block.
+    t_nodes, t_weights = t_rule
+    p_nodes, p_weights = p_rule
+    n2 = np.broadcast_to(np.asarray(n2, dtype=np.float64), m1.shape)
+    cp = conditional_power(
+        m1[:, None, None], n1, n2[:, None, None], t_nodes[:, :, None], p_nodes, alpha
+    )
+    return np.sum(np.sum(cp * p_weights, axis=2) * t_weights, axis=1)
+
+
 def conditional_expected_power(
-    m1,
-    n1: int,
-    n2,
-    prior_t: tuple,
-    prior_p: tuple,
-    alpha: float,
-    iters: int,
-    stream: RandomStream,
+    m1, n1: int, n2, prior_t: tuple, prior_p: tuple, alpha: float
 ) -> float:
-    """CP averaged over independent Beta priors on the two true rates."""
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
-    gen = stream.generator()
-    pi_t = np.clip(gen.beta(prior_t[0], prior_t[1], iters), _CLIP, 1.0 - _CLIP)
-    pi_p = np.clip(gen.beta(prior_p[0], prior_p[1], iters), _CLIP, 1.0 - _CLIP)
-    return float(np.mean(conditional_power(m1, n1, n2, pi_t, pi_p, alpha)))
+    """CP averaged over independent Beta priors on the two true rates,
+    by the QUAD_NODES x QUAD_NODES Gauss-Jacobi rule."""
+    t_nodes, t_weights = beta_rule(*prior_t, QUAD_NODES)
+    t_rule = (t_nodes[None], t_weights[None])
+    m1 = np.array([m1], dtype=np.float64)
+    return float(_cep(m1, n1, n2, t_rule, beta_rule(*prior_p, QUAD_NODES), alpha)[0])
 
 
 def _stage1_prior(count: int, design: DesignParams) -> tuple:
@@ -181,66 +220,88 @@ def _stage1_prior(count: int, design: DesignParams) -> tuple:
     return beta_from_moments(mean, var)
 
 
-def reassess_n2(m1: float, stage1: tuple, design: DesignParams, stream: RandomStream) -> int:
+def _stage1_rules(counts, design: DesignParams) -> tuple:
+    """Prior rules of the given stage-1 counts, stacked: (nodes, weights),
+    each of shape (len(counts), QUAD_NODES)."""
+    rules = [beta_rule(*_stage1_prior(int(c), design), QUAD_NODES) for c in counts]
+    return np.array([r[0] for r in rules]), np.array([r[1] for r in rules])
+
+
+def _reassess_block(m1: np.ndarray, t_rule: tuple, p_rule: tuple, design: DesignParams) -> np.ndarray:
+    """reassess_n2 for a block of cells that share the placebo count.
+
+    Each search step evaluates CEP only for the cells still searching.
+    """
+    t_nodes, t_weights = t_rule
+
+    def cep(cells, n2):
+        rule = (t_nodes[cells], t_weights[cells])
+        return _cep(m1[cells], design.n1, n2, rule, p_rule, design.alpha)
+
+    lo, hi = design.n2_min, design.n2_max
+    target = design.cep_target
+    out = np.full(m1.size, hi, dtype=np.int64)
+    cells = np.arange(m1.size)
+    cep_lo = cep(cells, lo)
+    out[cep_lo >= target] = lo
+    cells = cells[cep_lo < target]
+    if lo == hi or cells.size == 0:
+        return out
+    cep_hi = cep(cells, hi)
+    rising = cep_lo[cells] <= cep_hi
+    # smallest crossing by integer bisection: cep(lo) < t <= cep(hi)
+    search = cells[rising & (cep_hi >= target)]
+    below = np.full(search.size, lo)
+    above = np.full(search.size, hi)
+    while True:
+        active = np.flatnonzero(above - below > 1)
+        if active.size == 0:
+            break
+        mid = (below[active] + above[active]) // 2
+        hit = cep(search[active], mid) >= target
+        above[active[hit]] = mid[hit]
+        below[active[~hit]] = mid[~hit]
+    out[search] = above
+    # non-monotone endpoints: scan for the smallest crossing
+    for cell in cells[~rising]:
+        for n2 in range(lo + 1, hi + 1):
+            if cep(np.array([cell]), n2)[0] >= target:
+                out[cell] = n2
+                break
+    return out
+
+
+def reassess_n2(m1: float, stage1: tuple, design: DesignParams) -> int:
     """Smallest n2 in the design bounds with CEP >= cep_target, else n2_max.
 
-    One prior-draw set is generated per reassessment and shared across
-    all candidate n2 values, which makes CEP(m1, .) deterministic and
-    bisectable; a linear scan covers the (rare) case where the endpoint
-    monotonicity check fails.
+    CEP(m1, .) is a fixed quadrature, so it is deterministic and
+    bisectable: n2_min when CEP(n2_min) reaches the target, n2_max when
+    CEP(n2_max) does not, else integer bisection; a linear scan covers
+    the (rare) case where CEP(n2_min) > CEP(n2_max).  Runs the table
+    builder's code on a block of one cell, so it equals the table entry.
     """
     x_p1, x_t1 = stage1
     if not (0 <= x_p1 <= design.n1 and 0 <= x_t1 <= design.n1):
         raise ValueError("stage-1 counts out of range")
-    a_t, b_t = _stage1_prior(x_t1, design)
-    a_p, b_p = _stage1_prior(x_p1, design)
-    gen = stream.generator()
-    pi_t = np.clip(gen.beta(a_t, b_t, design.cep_mc_iters), _CLIP, 1.0 - _CLIP)
-    pi_p = np.clip(gen.beta(a_p, b_p, design.cep_mc_iters), _CLIP, 1.0 - _CLIP)
-
-    def cep(n2: int) -> float:
-        return float(np.mean(conditional_power(m1, design.n1, n2, pi_t, pi_p, design.alpha)))
-
-    lo, hi = design.n2_min, design.n2_max
-    target = design.cep_target
-    cep_lo = cep(lo)
-    if cep_lo >= target:
-        return lo
-    if lo == hi:
-        return hi
-    cep_hi = cep(hi)
-    if cep_lo <= cep_hi:
-        if cep_hi < target:
-            return hi
-        # smallest crossing by integer bisection: cep(lo) < t <= cep(hi)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if cep(mid) >= target:
-                hi = mid
-            else:
-                lo = mid
-        return hi
-    # non-monotone endpoints: scan for the smallest crossing
-    for n2 in range(design.n2_min + 1, design.n2_max + 1):
-        if cep(n2) >= target:
-            return n2
-    return design.n2_max
+    t_rule = _stage1_rules([x_t1], design)
+    p_nodes, p_weights = _stage1_rules([x_p1], design)
+    m1 = np.array([m1], dtype=np.float64)
+    return int(_reassess_block(m1, t_rule, (p_nodes[0], p_weights[0]), design)[0])
 
 
-def n2_lookup_table(design: DesignParams, stream: RandomStream) -> np.ndarray:
+def n2_lookup_table(design: DesignParams) -> np.ndarray:
     """Reassessed n2 for every stage-1 cell (x_p1, x_t1).
 
-    Cell (x_p1, x_t1) is computed by reassess_n2 on the child substream
-    with index x_p1*(n1+1) + x_t1, so individual entries can be
-    reproduced independently of the build loop.
+    Seed-free: a function of the design alone.  The prior rule of each
+    stage-1 count is computed once; each x_p1 row is one block.
     """
     side = design.n1 + 1
+    counts = np.arange(side)
+    nodes, weights = _stage1_rules(counts, design)
     table = np.empty((side, side), dtype=np.int64)
     for x_p1 in range(side):
-        for x_t1 in range(side):
-            m1 = proportion_stat(x_p1, x_t1, design.n1)
-            cell = stream.child(x_p1 * side + x_t1)
-            table[x_p1, x_t1] = reassess_n2(m1, (x_p1, x_t1), design, cell)
+        m1 = proportion_stat(x_p1, counts, design.n1)
+        table[x_p1] = _reassess_block(m1, (nodes, weights), (nodes[x_p1], weights[x_p1]), design)
     return table
 
 
@@ -248,8 +309,8 @@ def derive_capped_table(base_table: np.ndarray, design: DesignParams) -> np.ndar
     """Reassessment table for a lower n2_max, derived from a base table.
 
     Valid because the smallest CEP crossing does not depend on the upper
-    clamp: with the same prior draws, the reassessed n2 under a smaller
-    cap is min(base n2, new cap).  Entries below n2_min never occur in a
+    clamp: CEP is a fixed function of (cell, n2), so the reassessed n2
+    under a smaller cap is min(base n2, new cap).  Entries below n2_min never occur in a
     base table with the same n2_min.
     """
     if np.any(base_table < design.n2_min):
@@ -267,8 +328,7 @@ def simulate_trial(
     """Simulate one trial end to end.
 
     When ``n2_table`` is given the reassessment is a lookup; otherwise
-    reassess_n2 runs on a dedicated child substream.  The two modes agree
-    in distribution (and the table itself is built from reassess_n2).
+    reassess_n2 computes the same entry, so the two modes are identical.
     """
     for rate in (pi_p, pi_t):
         if not 0.0 <= rate <= 1.0:
@@ -280,7 +340,7 @@ def simulate_trial(
         n2 = int(n2_table[x_p1, x_t1])
     else:
         m1 = proportion_stat(x_p1, x_t1, design.n1)
-        n2 = reassess_n2(m1, (x_p1, x_t1), design, stream.child(_REASSESS_CHILD))
+        n2 = reassess_n2(m1, (x_p1, x_t1), design)
     x_p2 = int(gen.binomial(n2, pi_p))
     x_t2 = int(gen.binomial(n2, pi_t))
     path = TrialPath(x_p1=x_p1, x_t1=x_t1, n2=n2, x_p2=x_p2, x_t2=x_t2)
@@ -361,7 +421,7 @@ def calibrate_bm(
     if not pi_grid:
         raise ValueError("pi_grid must be nonempty")
     if n2_table is None:
-        n2_table = n2_lookup_table(design, stream.child(0))
+        n2_table = n2_lookup_table(design)
     stats = [
         _bm_stats(
             simulate_trials(pi, pi, design, n_trials, stream.child(1 + i), n2_table),

@@ -14,9 +14,8 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 @pytest.fixture(scope="session")
 def musec_table():
-    # the full 86x86 reassessment table takes ~10 s; share it across
+    # the full 86x86 reassessment table of the default design, shared by
     # every module that replays trials in bulk
     from deeptest.ssr import DesignParams, n2_lookup_table
-    from deeptest.streams import RandomStream
 
-    return n2_lookup_table(DesignParams(), RandomStream(seed=777).child(0))
+    return n2_lookup_table(DesignParams())

@@ -353,8 +353,7 @@ def test_criterion_6_alternate_design_spot_check(accept_cache):
 
 def _tiny_adaptive_config(seed: int = 424_242) -> ExperimentConfig:
     design = DesignParams(
-        n1=12, n2_min=5, n2_max=60, cep_target=0.8, gamma=0.001,
-        alpha=0.05, cep_mc_iters=2000,
+        n1=12, n2_min=5, n2_max=60, cep_target=0.8, gamma=0.001, alpha=0.05,
     )
     sizes = Sizes(b0=4000, b1=4000, b_prime=4000, b_val=4000)
     spec = adaptive_scenario(
@@ -409,7 +408,7 @@ def test_criterion_7_property_suites(accept_cache, tmp_path):
         if ours != ref:
             problems.append(f"quantile mismatch at (B'={size}, alpha={alpha})")
 
-    # Monte Carlo CEP tracks the Gauss-Legendre quadrature oracle.
+    # Gauss-Jacobi CEP tracks the Gauss-Legendre quadrature oracle.
     max_cep_err = 0.0
     cep_cases = (
         (0.0, 120, (54.0, 146.0), (54.0, 146.0)),
@@ -417,16 +416,14 @@ def test_criterion_7_property_suites(accept_cache, tmp_path):
         (2.0, 200, (8.0, 12.0), (6.0, 14.0)),
         (-0.5, 90, (3.0, 7.0), (3.0, 7.0)),
     )
-    for idx, (m1, n2, prior_t, prior_p) in enumerate(cep_cases):
-        mc = conditional_expected_power(
-            m1, 85, n2, prior_t, prior_p, 0.05, 50_000, RandomStream(seed=880 + idx)
-        )
+    for m1, n2, prior_t, prior_p in cep_cases:
+        cep = conditional_expected_power(m1, 85, n2, prior_t, prior_p, 0.05)
         quad = oracles.cep_gauss_legendre(
             lambda pt, pp: conditional_power(m1, 85, n2, pt, pp, 0.05), prior_t, prior_p
         )
-        max_cep_err = max(max_cep_err, abs(mc - quad))
-        if abs(mc - quad) > 0.01:
-            problems.append(f"CEP off quadrature by {abs(mc - quad):.4f} at m1={m1}, n2={n2}")
+        max_cep_err = max(max_cep_err, abs(cep - quad))
+        if abs(cep - quad) > 1e-8:
+            problems.append(f"CEP off quadrature by {abs(cep - quad):.2e} at m1={m1}, n2={n2}")
 
     # Conditional power limits: equal rates give alpha, a real drift gives 1.
     cp_null = conditional_power(0.0, 85, 1e8, 0.27, 0.27, 0.05)
@@ -468,7 +465,7 @@ def test_criterion_7_property_suites(accept_cache, tmp_path):
         7,
         problems,
         f"max gradient err {max_grad_err:.2e}, quantile exact, "
-        f"max CEP err {max_cep_err:.4f}, CP limits ok, antisymmetry exact, "
+        f"max CEP err {max_cep_err:.1e}, CP limits ok, antisymmetry exact, "
         f"round trips bit-exact, determinism bit-exact (2 runs, workers 1 vs 8), "
         f"{elapsed:.0f}s",
     )

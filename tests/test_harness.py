@@ -7,6 +7,7 @@ import json
 import multiprocessing.pool
 import operator
 import os
+import subprocess
 import sys
 import threading
 from dataclasses import replace
@@ -47,7 +48,7 @@ from deeptest.ssr import DesignParams, derive_capped_table, simulate_trials
 from deeptest.streams import RandomStream
 
 TINY_DESIGN = DesignParams(
-    n1=12, n2_min=5, n2_max=60, cep_target=0.8, gamma=0.001, alpha=0.05, cep_mc_iters=2000
+    n1=12, n2_min=5, n2_max=60, cep_target=0.8, gamma=0.001, alpha=0.05
 )
 
 
@@ -306,6 +307,18 @@ def test_load_config_names_missing_field(tmp_path):
         load_config(path)
 
 
+def test_removed_design_key_cep_mc_iters_is_named(tmp_path):
+    text = packaged_config("musec.cfg").read_text(encoding="utf-8")
+    path = tmp_path / "old.cfg"
+    path.write_text(text.replace("design:\n", "design:\n  cep_mc_iters: 10000\n"), encoding="utf-8")
+    with pytest.raises(ValueError, match="'cep_mc_iters' was removed"):
+        load_config(path)
+    doc = config_to_dict(tiny_adaptive_config())
+    doc["design"]["cep_mc_iters"] = 2000
+    with pytest.raises(ValueError, match="'cep_mc_iters' was removed"):
+        config_from_dict(doc)
+
+
 # ----------------------------------------------------------------- results
 
 
@@ -368,6 +381,54 @@ def test_cache_key_field_sensitivity(tmp_path):
     cache.store_array(base, np.ones(3))
     for edited in ({"n1": 86, "gamma": 0.001}, {"n1": 85, "gamma": 0.005}, {"n1": 85}):
         assert cache.load_array(edited) is None
+
+
+def test_cached_table_keyed_by_source_digest(tmp_path, monkeypatch):
+    cache = CacheStore(tmp_path)
+    table = harness._cached_table(TINY_DESIGN, cache)
+    builds = []
+
+    def build(design):
+        builds.append(design)
+        return table + 1
+
+    monkeypatch.setattr(harness, "n2_lookup_table", build)
+    # same code: the stored table is served
+    assert np.array_equal(harness._cached_table(TINY_DESIGN, cache), table)
+    assert builds == []
+    # changed code: the stored table is not served
+    monkeypatch.setattr(harness, "_source_digest", lambda modules: "0" * 64)
+    assert np.array_equal(harness._cached_table(TINY_DESIGN, cache), table + 1)
+    assert builds == [TINY_DESIGN]
+
+
+def test_source_digest_only_with_a_cache(monkeypatch):
+    def explode(modules):
+        raise AssertionError("source digest computed without a cache")
+
+    monkeypatch.setattr(harness, "_source_digest", explode)
+    assert harness._cached_table(TINY_DESIGN, None).shape == (13, 13)
+    fit_test(tiny_known_config(seed=94))
+
+
+def test_cached_bundle_keyed_by_source_digest(tmp_path, monkeypatch):
+    config = tiny_known_config(seed=98)
+    cache = CacheStore(tmp_path)
+    fit_test(config, cache=cache)
+    fits = []
+    generate = harness.generate_training_data
+
+    def counted(*args, **kwargs):
+        fits.append(1)
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "generate_training_data", counted)
+    fit_test(config, cache=cache)
+    assert fits == []
+    digest = harness._source_digest
+    monkeypatch.setattr(harness, "_source_digest", lambda modules: digest(modules)[::-1])
+    fit_test(config, cache=cache)
+    assert fits == [1]
 
 
 def test_cache_store_concurrent_writers_one_key(tmp_path):
@@ -435,6 +496,12 @@ def test_fit_test_holds_one_pool(monkeypatch):
     fit_test(tiny_behrens_fisher_config(), workers=2)
     # statistic candidates, critical labels, critical candidates
     assert (len(starts), len(maps)) == (1, 3)
+    assert multiprocessing.active_children() == []
+    # run_experiment holds the same one pool through the validation grid
+    starts.clear()
+    maps.clear()
+    run_experiment(tiny_behrens_fisher_config(), workers=2)
+    assert (len(starts), len(maps)) == (1, 4)
     assert multiprocessing.active_children() == []
 
 
@@ -794,6 +861,29 @@ def test_cli_reproduce_unknown_table(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "[cli]" in captured.err
+
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_import_pins_blas_before_numpy_loads():
+    # a process that imports the CLI with the variables unset runs BLAS on
+    # one thread; an explicit setting is kept
+    code = (
+        "import os\n"
+        "import deeptest.cli\n"
+        "import numpy as np\n"
+        "a = np.ones((1500, 1500))\n"
+        "a @ a\n"
+        f"print(*(os.environ[v] for v in {_BLAS_VARS!r}), len(os.listdir('/proc/self/task')))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    run = lambda env: subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert run(env) == ["1", "1", "1", "1"]
+    assert run({**env, "OPENBLAS_NUM_THREADS": "2"})[:3] == ["2", "1", "1"]
 
 
 def test_cli_usage_error_nonzero(capsys):

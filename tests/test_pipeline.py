@@ -45,7 +45,7 @@ KNOWN_SIGMA = 1.0
 KNOWN_MU1 = 0.414
 
 TINY_DESIGN = DesignParams(
-    n1=12, n2_min=5, n2_max=60, cep_target=0.8, gamma=0.001, alpha=0.05, cep_mc_iters=2000
+    n1=12, n2_min=5, n2_max=60, cep_target=0.8, gamma=0.001, alpha=0.05
 )
 
 
@@ -121,7 +121,7 @@ def adaptive_fit():
         pi_p_grid=(0.20, 0.30, 0.40), n1=12, b0=4_000, b1=4_000, l=21, b_prime=20_000
     )
     stream = ROOT.child(3)
-    table = n2_lookup_table(TINY_DESIGN, stream.child(0))
+    table = n2_lookup_table(TINY_DESIGN)
     data = generate_training_data(spec, stream.child(1), design=TINY_DESIGN, n2_table=table)
     pool = pipeline.CandidatePool(
         specs=(NetworkSpec(input_dim=3, hidden_layers=(10, 10), head=HEAD_CLASSIFIER),)

@@ -10,7 +10,7 @@ from scipy.special import gammaln
 from scipy.stats import ks_2samp
 
 from deeptest import scenarios as sc
-from deeptest.ssr import DesignParams
+from deeptest.ssr import DesignParams, n2_lookup_table
 from deeptest.stats import sample_normal, summarize_rows
 from deeptest.streams import RandomStream
 
@@ -316,7 +316,7 @@ def test_adaptive_regeneration_bit_identical(musec_table):
 
 
 def test_adaptive_internal_table_deterministic():
-    design = DesignParams(n1=12, n2_min=5, n2_max=60, cep_mc_iters=2000)
+    design = DesignParams(n1=12, n2_min=5, n2_max=60)
     spec = sc.ScenarioSpec(
         kind=sc.KIND_ADAPTIVE,
         null_params=(),
@@ -328,6 +328,9 @@ def test_adaptive_internal_table_deterministic():
     a = sc.gen_adaptive(spec, design, RandomStream(seed=39))
     b = sc.gen_adaptive(spec, design, RandomStream(seed=39))
     assert np.array_equal(a.features, b.features)
+    # the internal table is the design's seed-free table
+    c = sc.gen_adaptive(spec, design, RandomStream(seed=39), n2_table=n2_lookup_table(design))
+    assert np.array_equal(a.features, c.features)
 
 
 def test_generate_training_data_dispatch(musec_table):

@@ -41,8 +41,6 @@ def test_design_params_validation():
         ssr.DesignParams(gamma=0.0)
     with pytest.raises(ValueError):
         ssr.DesignParams(alpha=0.5)
-    with pytest.raises(ValueError):
-        ssr.DesignParams(cep_mc_iters=0)
 
 
 def test_trial_path_validation():
@@ -135,8 +133,33 @@ def test_conditional_power_bounded():
 # ---------------------------------------------- conditional expected power
 
 
+@pytest.mark.parametrize("prior", [(80.0, 147.0), (2.0, 3.0), (0.5, 0.5), (300.0, 20.0)])
+@pytest.mark.parametrize("nodes", [5, ssr.QUAD_NODES, 96])
+def test_beta_rule_matches_scipy_roots_jacobi(prior, nodes):
+    # Golub-Welsch in numpy against scipy's Jacobi roots (alpha = b - 1,
+    # beta = a - 1), mapped to (0, 1) and normalised
+    from scipy.special import roots_jacobi
+
+    a, b = prior
+    x, w = ssr.beta_rule(a, b, nodes)
+    ref_x, ref_w = roots_jacobi(nodes, b - 1.0, a - 1.0)
+    assert np.max(np.abs(x - 0.5 * (ref_x + 1.0))) <= 1e-12
+    assert np.max(np.abs(w - ref_w / ref_w.sum())) <= 1e-12
+
+
+def test_beta_rule_exact_on_polynomials_of_a_boundary_prior():
+    # the prior of a zero stage-1 count puts most mass next to 0; the rule
+    # must still integrate p^j exactly for j < 2 * nodes
+    a, b = ssr._stage1_prior(0, MUSEC)
+    x, w = ssr.beta_rule(a, b, ssr.QUAD_NODES)
+    assert np.all(np.diff(x) > 0.0) and np.all(w > 0.0)
+    for j in range(2 * ssr.QUAD_NODES):
+        exact = math.exp(math.lgamma(a + j) + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(a + b + j))
+        assert abs(float(np.sum(w * x**j)) - exact) <= 1e-14
+
+
 def test_cep_matches_quadrature_oracle():
-    # dual route: MC average of CP against 80-node tensor Gauss-Legendre
+    # dual route: Gauss-Jacobi against 80-node tensor Gauss-Legendre
     prior_t = beta_from_moments(0.32, 0.001)
     prior_p = beta_from_moments(0.27, 0.001)
 
@@ -144,10 +167,8 @@ def test_cep_matches_quadrature_oracle():
         return ssr.conditional_power(0.5, 85, 150, pt, pp, 0.05)
 
     oracle = cep_gauss_legendre(cp, prior_t, prior_p)
-    mc = ssr.conditional_expected_power(
-        0.5, 85, 150, prior_t, prior_p, 0.05, 100_000, RandomStream(seed=4242)
-    )
-    assert abs(mc - oracle) <= 0.01
+    cep = ssr.conditional_expected_power(0.5, 85, 150, prior_t, prior_p, 0.05)
+    assert abs(cep - oracle) <= 1e-8
 
 
 def test_cep_matches_quadrature_oracle_wide_priors():
@@ -158,35 +179,51 @@ def test_cep_matches_quadrature_oracle_wide_priors():
         return ssr.conditional_power(1.5, 85, 60, pt, pp, 0.05)
 
     oracle = cep_gauss_legendre(cp, prior_t, prior_p)
-    mc = ssr.conditional_expected_power(
-        1.5, 85, 60, prior_t, prior_p, 0.05, 100_000, RandomStream(seed=4243)
+    cep = ssr.conditional_expected_power(1.5, 85, 60, prior_t, prior_p, 0.05)
+    assert abs(cep - oracle) <= 1e-8
+
+
+# the four CEP cases of acceptance criterion 7: (m1, n2, prior_t, prior_p)
+CRITERION_7_CEP_CASES = (
+    (0.0, 120, (54.0, 146.0), (54.0, 146.0)),
+    (1.2, 60, (40.0, 60.0), (27.0, 73.0)),
+    (2.0, 200, (8.0, 12.0), (6.0, 14.0)),
+    (-0.5, 90, (3.0, 7.0), (3.0, 7.0)),
+)
+
+
+@pytest.mark.parametrize("case", CRITERION_7_CEP_CASES)
+def test_cep_matches_quadrature_oracle_criterion_7_cases(case):
+    m1, n2, prior_t, prior_p = case
+    cep = ssr.conditional_expected_power(m1, 85, n2, prior_t, prior_p, 0.05)
+    oracle = cep_gauss_legendre(
+        lambda pt, pp: ssr.conditional_power(m1, 85, n2, pt, pp, 0.05), prior_t, prior_p
     )
-    assert abs(mc - oracle) <= 0.01
+    assert abs(cep - oracle) <= 1e-8
 
 
 def test_cep_point_mass_priors_collapse_to_cp():
     prior_t = beta_from_moments(0.40, 1e-9)
     prior_p = beta_from_moments(0.27, 1e-9)
-    cep = ssr.conditional_expected_power(
-        0.8, 85, 120, prior_t, prior_p, 0.05, 20_000, RandomStream(seed=7)
-    )
+    cep = ssr.conditional_expected_power(0.8, 85, 120, prior_t, prior_p, 0.05)
     cp = ssr.conditional_power(0.8, 85, 120, 0.40, 0.27, 0.05)
     assert abs(cep - cp) <= 5e-4
 
 
-def test_cep_deterministic_per_stream():
+def test_cep_deterministic():
     prior = beta_from_moments(0.3, 0.001)
-    a = ssr.conditional_expected_power(0.5, 85, 100, prior, prior, 0.05, 5000, RandomStream(seed=9))
-    b = ssr.conditional_expected_power(0.5, 85, 100, prior, prior, 0.05, 5000, RandomStream(seed=9))
+    a = ssr.conditional_expected_power(0.5, 85, 100, prior, prior, 0.05)
+    b = ssr.conditional_expected_power(0.5, 85, 100, prior, prior, 0.05)
     assert a == b
 
 
 # -------------------------------------------------------------- reassessment
 
 
-def _reassess_oracle(m1, stage1, design, stream):
-    # independent re-derivation: same prior rule and draw protocol, but the
-    # smallest CEP crossing is found by exhaustive scan over every n2
+def _reassess_oracle(m1, stage1, design):
+    # independent re-derivation: the same prior rule, but the smallest CEP
+    # crossing is found by exhaustive scan over every n2, one scalar CEP
+    # at a time
     def prior(count):
         lo = 1.0 / (2.0 * design.n1)
         mean = min(max(count / design.n1, lo), 1.0 - lo)
@@ -195,13 +232,9 @@ def _reassess_oracle(m1, stage1, design, stream):
         nu = mean * (1.0 - mean) / var - 1.0
         return mean * nu, (1.0 - mean) * nu
 
-    a_t, b_t = prior(stage1[1])
-    a_p, b_p = prior(stage1[0])
-    gen = stream.generator()
-    pi_t = np.clip(gen.beta(a_t, b_t, design.cep_mc_iters), 1e-12, 1.0 - 1e-12)
-    pi_p = np.clip(gen.beta(a_p, b_p, design.cep_mc_iters), 1e-12, 1.0 - 1e-12)
+    prior_t, prior_p = prior(stage1[1]), prior(stage1[0])
     for n2 in range(design.n2_min, design.n2_max + 1):
-        cep = float(np.mean(ssr.conditional_power(m1, design.n1, n2, pi_t, pi_p, design.alpha)))
+        cep = ssr.conditional_expected_power(m1, design.n1, n2, prior_t, prior_p, design.alpha)
         if cep >= design.cep_target:
             return n2
     return design.n2_max
@@ -210,17 +243,32 @@ def _reassess_oracle(m1, stage1, design, stream):
 @pytest.mark.parametrize("stage1", [(15, 45), (30, 30), (20, 38), (25, 42), (28, 37), (18, 40)])
 def test_reassess_matches_exhaustive_scan(stage1):
     m1 = ssr.proportion_stat(stage1[0], stage1[1], MUSEC.n1)
-    stream = ROOT.child(7000 + stage1[0] * 86 + stage1[1])
-    got = ssr.reassess_n2(m1, stage1, MUSEC, stream)
-    want = _reassess_oracle(m1, stage1, MUSEC, stream)
-    assert got == want
+    assert ssr.reassess_n2(m1, stage1, MUSEC) == _reassess_oracle(m1, stage1, MUSEC)
+
+
+def test_reassess_non_monotone_cells_match_exhaustive_scan():
+    # under the sensitivity design these cells have CEP(n2_min) >
+    # CEP(n2_max), so reassessment takes the linear-scan branch
+    design = ssr.DesignParams(cep_target=0.75, gamma=0.005)
+    for stage1 in ((0, 3), (82, 85)):
+        m1 = ssr.proportion_stat(stage1[0], stage1[1], design.n1)
+        lo = ssr.conditional_expected_power(
+            m1, design.n1, design.n2_min, ssr._stage1_prior(stage1[1], design),
+            ssr._stage1_prior(stage1[0], design), design.alpha,
+        )
+        hi = ssr.conditional_expected_power(
+            m1, design.n1, design.n2_max, ssr._stage1_prior(stage1[1], design),
+            ssr._stage1_prior(stage1[0], design), design.alpha,
+        )
+        assert hi < lo < design.cep_target
+        assert ssr.reassess_n2(m1, stage1, design) == _reassess_oracle(m1, stage1, design)
 
 
 def test_reassess_extreme_cells():
     # strongly favorable interim data floors n2; null-like data caps it
     m1 = ssr.proportion_stat(15, 45, MUSEC.n1)
-    assert ssr.reassess_n2(m1, (15, 45), MUSEC, ROOT.child(1)) == MUSEC.n2_min
-    assert ssr.reassess_n2(0.0, (30, 30), MUSEC, ROOT.child(2)) == MUSEC.n2_max
+    assert ssr.reassess_n2(m1, (15, 45), MUSEC) == MUSEC.n2_min
+    assert ssr.reassess_n2(0.0, (30, 30), MUSEC) == MUSEC.n2_max
 
 
 def test_reassess_within_bounds_random_cells():
@@ -228,26 +276,26 @@ def test_reassess_within_bounds_random_cells():
     for k in range(25):
         xp, xt = int(gen.integers(0, 86)), int(gen.integers(0, 86))
         m1 = ssr.proportion_stat(xp, xt, MUSEC.n1)
-        n2 = ssr.reassess_n2(m1, (xp, xt), MUSEC, ROOT.child(3000 + k))
+        n2 = ssr.reassess_n2(m1, (xp, xt), MUSEC)
         assert MUSEC.n2_min <= n2 <= MUSEC.n2_max
 
 
 def test_reassess_deterministic():
     m1 = ssr.proportion_stat(22, 39, MUSEC.n1)
-    a = ssr.reassess_n2(m1, (22, 39), MUSEC, ROOT.child(4))
-    b = ssr.reassess_n2(m1, (22, 39), MUSEC, ROOT.child(4))
+    a = ssr.reassess_n2(m1, (22, 39), MUSEC)
+    b = ssr.reassess_n2(m1, (22, 39), MUSEC)
     assert a == b
 
 
 def test_reassess_rejects_bad_stage1():
     with pytest.raises(ValueError):
-        ssr.reassess_n2(0.0, (-1, 10), MUSEC, ROOT.child(5))
+        ssr.reassess_n2(0.0, (-1, 10), MUSEC)
 
 
 def test_reassessed_n2_nonincreasing_in_m1(musec_table):
-    # within a row of the table, m1 increases with x_t1; each cell uses
-    # independent prior draws so a small violation rate near the CEP
-    # cliff is tolerated
+    # within a row of the table, m1 increases with x_t1; CEP is a
+    # quadrature, but a small violation rate near the CEP cliff is
+    # tolerated
     violations = 0
     total = 0
     for x_p1 in (17, 23, 30, 40):
@@ -260,29 +308,77 @@ def test_reassessed_n2_nonincreasing_in_m1(musec_table):
 
 # ------------------------------------------------------------- lookup table
 
-TINY = ssr.DesignParams(n1=12, n2_min=5, n2_max=60, cep_mc_iters=2000)
+TINY = ssr.DesignParams(n1=12, n2_min=5, n2_max=60)
 
 
 def test_lookup_table_matches_direct_reassessment():
-    stream = RandomStream(seed=99)
-    table = ssr.n2_lookup_table(TINY, stream)
+    table = ssr.n2_lookup_table(TINY)
     side = TINY.n1 + 1
     assert table.shape == (side, side)
-    for (xp, xt) in [(0, 0), (3, 9), (12, 12), (6, 6), (2, 11)]:
-        m1 = ssr.proportion_stat(xp, xt, TINY.n1)
-        direct = ssr.reassess_n2(m1, (xp, xt), TINY, stream.child(xp * side + xt))
-        assert table[xp, xt] == direct
+    for xp in range(side):
+        for xt in range(side):
+            m1 = ssr.proportion_stat(xp, xt, TINY.n1)
+            assert table[xp, xt] == ssr.reassess_n2(m1, (xp, xt), TINY)
+
+
+def test_lookup_table_is_seed_free_and_matches_musec_cells(musec_table):
+    assert np.array_equal(ssr.n2_lookup_table(MUSEC), musec_table)
+    for xp, xt in [(0, 0), (85, 85), (1, 5), (27, 40), (40, 27), (60, 80)]:
+        m1 = ssr.proportion_stat(xp, xt, MUSEC.n1)
+        assert musec_table[xp, xt] == ssr.reassess_n2(m1, (xp, xt), MUSEC)
+
+
+def _packaged_designs():
+    from deeptest.harness import load_config, packaged_config
+
+    return {
+        name: load_config(packaged_config(name))[0].design
+        for name in ("musec.cfg", "musec_designs.cfg")
+    }
+
+
+@pytest.mark.parametrize("name", ["musec.cfg", "musec_designs.cfg", "tiny"])
+def test_quad_nodes_converged(name, monkeypatch):
+    # QUAD_NODES is the smallest count whose tables equal 96-node tables
+    # on every design the package ships and on the tests' tiny design
+    design = TINY if name == "tiny" else _packaged_designs()[name]
+    table = ssr.n2_lookup_table(design)
+    monkeypatch.setattr(ssr, "QUAD_NODES", 96)
+    assert np.array_equal(table, ssr.n2_lookup_table(design))
+
+
+def test_table_build_leaves_scipy_linalg_unloaded():
+    import subprocess
+    import sys
+
+    code = (
+        "import sys\n"
+        "from deeptest.ssr import DesignParams, n2_lookup_table\n"
+        "n2_lookup_table(DesignParams(n1=12, n2_min=5, n2_max=60))\n"
+        "print('scipy.linalg' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_capped_table_equals_direct_build():
-    # with shared draws, capping n2_max commutes with the smallest-crossing
-    # search, so the derived table must equal a from-scratch build
-    stream = RandomStream(seed=100)
-    base = ssr.n2_lookup_table(TINY, stream)
-    capped_design = ssr.DesignParams(n1=12, n2_min=5, n2_max=30, cep_mc_iters=2000)
+    # CEP is a fixed function of (cell, n2), so capping n2_max commutes
+    # with the smallest-crossing search and the derived table must equal
+    # a from-scratch build
+    base = ssr.n2_lookup_table(TINY)
+    capped_design = ssr.DesignParams(n1=12, n2_min=5, n2_max=30)
     derived = ssr.derive_capped_table(base, capped_design)
-    direct = ssr.n2_lookup_table(capped_design, stream)
+    direct = ssr.n2_lookup_table(capped_design)
     assert np.array_equal(derived, direct)
+
+
+def test_capped_musec_table_equals_direct_build(musec_table):
+    # the sample-size search derives every cap from one n2_max = 2048 table
+    base = ssr.n2_lookup_table(ssr.DesignParams(n2_max=2048))
+    for cap in (60, 200, 340):
+        capped = ssr.DesignParams(n2_max=cap)
+        assert np.array_equal(ssr.derive_capped_table(base, capped), ssr.n2_lookup_table(capped))
+    assert np.array_equal(ssr.derive_capped_table(base, MUSEC), musec_table)
 
 
 def test_capped_table_rejects_entries_below_min():
@@ -312,6 +408,13 @@ def test_simulate_trial_table_mode_consistent(musec_table):
     path = ssr.simulate_trial(0.27, 0.35, MUSEC, ROOT.child(12), n2_table=musec_table)
     path.validate(MUSEC)
     assert path.n2 == musec_table[path.x_p1, path.x_t1]
+
+
+def test_simulate_trial_without_table_equals_table_path(musec_table):
+    for k, (pi_p, pi_t) in enumerate([(0.27, 0.27), (0.27, 0.40), (0.1, 0.6), (0.5, 0.5)]):
+        direct = ssr.simulate_trial(pi_p, pi_t, MUSEC, ROOT.child(100 + k))
+        lookup = ssr.simulate_trial(pi_p, pi_t, MUSEC, ROOT.child(100 + k), n2_table=musec_table)
+        assert direct == lookup
 
 
 def test_simulate_trial_rejects_bad_rates():

@@ -28,9 +28,6 @@ from .stats import (
     empirical_upper_quantile,
     normal_cdf,
     normal_quantile,
-    sample_beta,
-    sample_binomial,
-    sample_normal,
     student_t_quantile,
     summarize,
 )
@@ -90,9 +87,6 @@ __all__ = [
     "empirical_upper_quantile",
     "normal_cdf",
     "normal_quantile",
-    "sample_beta",
-    "sample_binomial",
-    "sample_normal",
     "student_t_quantile",
     "summarize",
     "HEAD_CLASSIFIER",

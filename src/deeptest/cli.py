@@ -97,22 +97,12 @@ def _cache(harness, args):
 
 
 def _cmd_train(harness, args) -> int:
-    from . import nnet, pipeline
-    from .scenarios import generate_training_data
-    from .streams import RandomStream
+    from . import nnet
 
     config = _load_single_config(harness, args)
-    root = RandomStream(seed=config.seed)
-    n2_table = None
-    if config.design is not None:
-        n2_table = harness._cached_table(config.design, _cache(harness, args))
-    data = generate_training_data(
-        config.scenario, root.child(harness._DATA_STREAM), design=config.design, n2_table=n2_table
-    )
+    n2_table = harness._design_table(config, _cache(harness, args))
     with harness.worker_pool(args.workers) as mapper:
-        net, report = pipeline.fit_statistic_net(
-            data, config.first_pool, config.first_train, root.child(harness._FIT_STREAM), mapper
-        )
+        net, report = harness.train_statistic(config, n2_table, mapper)
     document = {
         "format": "deeptest-statistic",
         "version": 1,
@@ -136,53 +126,15 @@ def _load_statistic(harness, path: str):
 
 
 def _cmd_calibrate(harness, args) -> int:
-    from functools import partial
-
     from . import pipeline
-    from .scenarios import KIND_KNOWN, gen_critical_inputs, gen_null_features
-    from .streams import RandomStream
 
     config = _load_single_config(harness, args)
     net, document = _load_statistic(harness, args.statistic)
     if document["config_sha256"] != harness.config_hash(config):
         raise ValueError("statistic was trained under a different config")
-    root = RandomStream(seed=config.seed)
-    spec = config.scenario
-    crit_report = None
-    n2_table = None
-    if config.design is not None:
-        n2_table = harness._cached_table(config.design, _cache(harness, args))
-    if spec.kind == KIND_KNOWN:
-        critical = pipeline.calibrate_constant_cutoff(
-            net, spec, config.sizes.b_prime, config.alpha, root.child(harness._CRIT_STREAM)
-        )
-    else:
-        with harness.worker_pool(args.workers) as mapper:
-            crit = pipeline.fit_critical_surface(
-                net,
-                gen_critical_inputs(spec),
-                partial(gen_null_features, spec, design=config.design, n2_table=n2_table),
-                config.sizes.b_prime,
-                config.alpha,
-                config.second_pool,
-                config.second_train,
-                root.child(harness._CRIT_STREAM),
-                mapper=mapper,
-            )
-        critical = crit.net
-        crit_report = crit.report.as_dict()
-    test = pipeline.FittedTest(
-        statistic_net=net,
-        critical_net=critical,
-        scenario=spec,
-        alpha=config.alpha,
-        provenance={
-            "config_sha256": harness.config_hash(config),
-            "seed": config.seed,
-            "statistic_selection": document["selection"],
-            "critical_selection": crit_report,
-        },
-    )
+    n2_table = harness._design_table(config, _cache(harness, args))
+    with harness.worker_pool(args.workers) as mapper:
+        test = harness.calibrate_statistic(config, net, document["selection"], n2_table, mapper)
     path = _out_dir(args) / "bundle.json"
     path.write_text(pipeline.save_bundle(test), encoding="utf-8")
     print(path)
@@ -194,9 +146,7 @@ def _cmd_validate(harness, args) -> int:
 
     config = _load_single_config(harness, args)
     test = pipeline.load_bundle(Path(args.bundle).read_text(encoding="utf-8"))
-    n2_table = None
-    if config.design is not None:
-        n2_table = harness._cached_table(config.design, _cache(harness, args))
+    n2_table = harness._design_table(config, _cache(harness, args))
     table = harness.validate(test, config, workers=args.workers, n2_table=n2_table)
     path = _out_dir(args) / "results.csv"
     table.to_csv(path)

@@ -4,7 +4,16 @@ An ExperimentConfig describes one testing problem end to end: the
 scenario, the network pools and training settings for both folds, the
 Monte Carlo sizes, the comparators, and the validation grid.
 run_experiment executes generate -> select -> fit -> calibrate ->
-validate and emits a ResultsTable plus a persisted model bundle.
+validate and emits a ResultsTable plus a persisted model bundle;
+fit_test is the statistic stage (train_statistic) followed by the
+calibration stage (calibrate_statistic), which the CLI also runs one at
+a time.
+
+Nothing here branches on the scenario kind except the input guards of
+the adaptive-only tools (sample-size search, recalibration, heatmaps):
+config parsing, validation and heatmap rows go through the kind's
+record in scenarios.FAMILIES.  A config file is read strictly: a key
+that no reader uses fails with the section and key named.
 
 Reproducibility contract: every random stage draws from a fixed child
 of the config seed, and parallel work is scheduled as order-preserving
@@ -28,7 +37,7 @@ import multiprocessing
 import os
 import time
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache, partial
 from pathlib import Path
 
@@ -36,7 +45,6 @@ import numpy as np
 import yaml
 
 from . import pipeline
-from .classical import t_decisions, welch_decisions, z_decisions
 from .nnet import HEAD_CLASSIFIER, HEAD_REGRESSOR, NetworkSpec, TrainConfig
 from .pipeline import (
     CandidatePool,
@@ -46,29 +54,14 @@ from .pipeline import (
     _scenario_to_dict,
 )
 from .scenarios import (
+    FAMILIES,
     KIND_ADAPTIVE,
-    KIND_BEHRENS_FISHER,
-    KIND_KNOWN,
-    KIND_UNKNOWN,
-    DatasetCounts,
     ScenarioSpec,
-    adaptive_scenario,
-    behrens_fisher_scenario,
     gen_critical_inputs,
     gen_null_features,
     generate_training_data,
-    known_sigma_scenario,
-    summary_draws,
-    unknown_sigma_scenario,
 )
-from .ssr import (
-    DesignParams,
-    bm_decisions,
-    derive_capped_table,
-    incta_decisions,
-    n2_lookup_table,
-    simulate_trials,
-)
+from .ssr import DesignParams, TrialBatch, derive_capped_table, n2_lookup_table, simulate_trials
 from .streams import RandomStream
 
 __all__ = [
@@ -87,6 +80,8 @@ __all__ = [
     "packaged_config",
     "scaled_config",
     "fit_test",
+    "train_statistic",
+    "calibrate_statistic",
     "validate",
     "validate_point",
     "run_experiment",
@@ -104,21 +99,12 @@ _CRIT_STREAM = 3
 _VAL_STREAM = 4
 _ASN_STREAM = 5
 
-_ALLOWED_COMPARATORS = {
-    KIND_KNOWN: ("z",),
-    KIND_UNKNOWN: ("t",),
-    KIND_BEHRENS_FISHER: ("welch",),
-    KIND_ADAPTIVE: ("incta", "bm"),
-}
-
-_POINT_KEYS = {
-    KIND_KNOWN: ("mu",),
-    KIND_UNKNOWN: ("mu", "sigma"),
-    KIND_BEHRENS_FISHER: ("mu_p", "mu_t", "sigma_p", "sigma_t"),
-    KIND_ADAPTIVE: ("pi_p", "pi_t"),
-}
-
-_CRITICAL_DIMS = {KIND_UNKNOWN: 1, KIND_BEHRENS_FISHER: 2, KIND_ADAPTIVE: 1}
+# the keys each config-file section may hold; any other key is an error
+_CFG_KEYS = (
+    "seed", "alpha", "bm_level", "scenario", "design", "critical_points", "sizes",
+    "first_fold", "second_fold", "comparators", "validation_points",
+)
+_FOLD_KEYS = ("depths", "widths", "dropout", "epochs", "batch_size", "learning_rate")
 
 # environment variables that set the BLAS thread count, recorded per run
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
@@ -202,7 +188,7 @@ class ExperimentConfig:
             raise ValueError("seed must be an unsigned 64-bit integer")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        kind = self.scenario.kind
+        family = self.scenario.family
         counts = self.scenario.counts
         if (counts.b0, counts.b1, counts.b_prime) != (
             self.sizes.b0,
@@ -210,7 +196,7 @@ class ExperimentConfig:
             self.sizes.b_prime,
         ):
             raise ValueError("scenario counts must mirror sizes")
-        if kind == KIND_ADAPTIVE:
+        if self.scenario.kind == KIND_ADAPTIVE:
             if self.design is None:
                 raise ValueError("adaptive scenario needs design parameters")
             if self.design.n1 != self.scenario.n:
@@ -219,10 +205,10 @@ class ExperimentConfig:
                 raise ValueError("config alpha must match design alpha")
             if not 0.0 < self.bm_level < 1.0:
                 raise ValueError("bm_level must lie in (0, 1)")
-        if kind != KIND_KNOWN:
+        if family.critical_dim > 0:
             if self.second_pool is None or self.second_train is None:
                 raise ValueError("two-fold scenarios need a second pool and train config")
-            if self.second_pool.input_dim != _CRITICAL_DIMS[kind]:
+            if self.second_pool.input_dim != family.critical_dim:
                 raise ValueError("second pool input_dim does not match the kind")
             if self.second_pool.head != HEAD_REGRESSOR:
                 raise ValueError("second pool must use the regressor head")
@@ -230,13 +216,13 @@ class ExperimentConfig:
             raise ValueError("first pool input_dim does not match the scenario")
         if self.first_pool.head != HEAD_CLASSIFIER:
             raise ValueError("first pool must use the classifier head")
-        allowed = _ALLOWED_COMPARATORS[kind]
+        allowed = [name for name, _ in family.comparators]
         for name in self.comparators:
             if name not in allowed:
-                raise ValueError(f"comparator {name!r} not available for {kind}")
+                raise ValueError(f"comparator {name!r} not available for {family.kind}")
         if len(self.validation_points) == 0:
             raise ValueError("validation_points must be nonempty")
-        keys = set(_POINT_KEYS[kind])
+        keys = set(family.point_keys)
         for point in self.validation_points:
             if set(point) != keys:
                 raise ValueError(f"validation point must have keys {sorted(keys)}")
@@ -339,7 +325,17 @@ def _design_from_doc(doc: dict) -> DesignParams:
             "design key 'cep_mc_iters' was removed: CEP is now a fixed Gauss-Jacobi "
             "quadrature with no Monte Carlo size; delete the key"
         )
+    _check_keys("design", doc, [f.name for f in fields(DesignParams)])
     return DesignParams(**doc)
+
+
+def _check_keys(section: str, doc: dict, allowed) -> None:
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ValueError(
+            f"config section {section!r}: unknown key {', '.join(map(repr, unknown))} "
+            f"(allowed: {', '.join(allowed)})"
+        )
 
 
 def _canonical_json(doc) -> str:
@@ -367,57 +363,6 @@ def with_seed(config: ExperimentConfig, seed: int) -> ExperimentConfig:
 # --------------------------------------------------------------- config I/O
 
 
-def _build_scenario_from_cfg(doc: dict, sizes: Sizes, critical_points: int) -> ScenarioSpec:
-    kind = doc["kind"]
-    if kind == KIND_KNOWN:
-        return known_sigma_scenario(
-            mu0=float(doc["mu0"]),
-            mu1=float(doc["mu1"]),
-            sigma=float(doc["sigma"]),
-            n=int(doc["n"]),
-            b0=sizes.b0,
-            b1=sizes.b1,
-            b_prime=sizes.b_prime,
-        )
-    if kind == KIND_UNKNOWN:
-        return unknown_sigma_scenario(
-            mu0=float(doc["mu0"]),
-            sigma_grid=tuple(float(s) for s in doc["sigma_grid"]),
-            n=int(doc["n"]),
-            b0=sizes.b0,
-            b1=sizes.b1,
-            l=critical_points,
-            b_prime=sizes.b_prime,
-            power=float(doc.get("training_power", 0.9)),
-        )
-    if kind == KIND_BEHRENS_FISHER:
-        return behrens_fisher_scenario(
-            mu_p=float(doc["mu_p"]),
-            sigma_values=tuple(float(s) for s in doc["sigma_values"]),
-            powers=tuple(float(p) for p in doc["training_powers"]),
-            n=int(doc["n"]),
-            b0=sizes.b0,
-            b1=sizes.b1,
-            l=critical_points,
-            b_prime=sizes.b_prime,
-        )
-    if kind == KIND_ADAPTIVE:
-        grid = doc["pi_p_grid"]
-        if isinstance(grid, dict):
-            rates = np.linspace(float(grid["start"]), float(grid["stop"]), int(grid["count"]))
-            grid = [round(float(r), 10) for r in rates]
-        return adaptive_scenario(
-            pi_p_grid=tuple(float(r) for r in grid),
-            n1=int(doc["n1"]),
-            b0=sizes.b0,
-            b1=sizes.b1,
-            l=critical_points,
-            b_prime=sizes.b_prime,
-            power=float(doc.get("training_power", 0.85)),
-        )
-    raise ValueError(f"unknown scenario kind {kind!r}")
-
-
 def _pool_from_cfg(doc: dict, input_dim: int, head: str) -> CandidatePool:
     specs = tuple(
         NetworkSpec(
@@ -441,17 +386,26 @@ def _train_from_cfg(doc: dict) -> TrainConfig:
 
 
 def _config_from_cfg_doc(doc: dict) -> ExperimentConfig:
+    _check_keys("top level", doc, _CFG_KEYS)
+    _check_keys("sizes", doc["sizes"], [f.name for f in fields(Sizes)])
+    for fold in ("first_fold", "second_fold"):
+        if fold in doc:
+            _check_keys(fold, doc[fold], _FOLD_KEYS)
     sizes = Sizes(**{k: int(v) for k, v in doc["sizes"].items()})
     critical_points = int(doc.get("critical_points", 100))
-    scenario = _build_scenario_from_cfg(doc["scenario"], sizes, critical_points)
-    kind = scenario.kind
+    alpha = float(doc.get("alpha", 0.05))
+    scenario_doc = doc["scenario"]
+    kind = scenario_doc["kind"]
+    if kind not in FAMILIES:
+        raise ValueError(f"unknown scenario kind {kind!r}")
+    family = FAMILIES[kind]
+    _check_keys("scenario", scenario_doc, ("kind",) + family.cfg_keys)
+    scenario = family.from_cfg(scenario_doc, sizes, critical_points, alpha)
     first_pool = _pool_from_cfg(doc["first_fold"], scenario.input_dim, HEAD_CLASSIFIER)
     second_pool = None
     second_train = None
-    if kind != KIND_KNOWN:
-        second_pool = _pool_from_cfg(
-            doc["second_fold"], _CRITICAL_DIMS[kind], HEAD_REGRESSOR
-        )
+    if family.critical_dim > 0:
+        second_pool = _pool_from_cfg(doc["second_fold"], family.critical_dim, HEAD_REGRESSOR)
         second_train = _train_from_cfg(doc["second_fold"])
     design = _design_from_doc(doc["design"]) if "design" in doc else None
     return ExperimentConfig(
@@ -467,7 +421,7 @@ def _config_from_cfg_doc(doc: dict) -> ExperimentConfig:
         second_pool=second_pool,
         second_train=second_train,
         comparators=tuple(doc.get("comparators", ())),
-        alpha=float(doc.get("alpha", 0.05)),
+        alpha=alpha,
         bm_level=float(doc.get("bm_level", 0.033)),
     )
 
@@ -708,24 +662,24 @@ def _pool_for(mapper, workers: int):
 # ------------------------------------------------------------------ fitting
 
 
+def _design_table(config: ExperimentConfig, cache) -> np.ndarray | None:
+    """The config design's reassessment table, or None without a design."""
+    return None if config.design is None else _cached_table(config.design, cache)
+
+
 def fit_test(config: ExperimentConfig, workers: int = 1, cache=None, mapper=None):
     """Generate training data, fit both folds, calibrate the cutoff.
 
-    Returns (FittedTest, reassessment table or None).  With a cache, the
+    Returns (FittedTest, reassessment table or None).  Runs
+    train_statistic then calibrate_statistic.  With a cache, the
     finished bundle is stored under the fit-relevant config fields and a
     digest of the fitting code, and reloaded on identical reruns.  Both
     candidate pools and the critical labels share one worker pool: the
     caller's ``mapper`` (from worker_pool) if given, else one of
     ``workers`` processes.
     """
-    root = RandomStream(seed=config.seed)
-    spec = config.scenario
-    adaptive = spec.kind == KIND_ADAPTIVE
-
     with _stage("generate"):
-        n2_table = None
-        if adaptive:
-            n2_table = _cached_table(config.design, cache)
+        n2_table = _design_table(config, cache)
         bundle_key = None
         if cache is not None:
             doc = config_to_dict(config)
@@ -739,54 +693,74 @@ def fit_test(config: ExperimentConfig, workers: int = 1, cache=None, mapper=None
             cached = cache.load_text(bundle_key)
             if cached is not None:
                 return pipeline.load_bundle(cached), n2_table
-        data = generate_training_data(
-            spec, root.child(_DATA_STREAM), design=config.design, n2_table=n2_table
-        )
 
     with _pool_for(mapper, workers) as mapper:
-        with _stage("fit"):
-            net, report = pipeline.fit_statistic_net(
-                data, config.first_pool, config.first_train, root.child(_FIT_STREAM), mapper
-            )
-
+        net, report = train_statistic(config, n2_table, mapper)
+        test = calibrate_statistic(config, net, report.as_dict(), n2_table, mapper)
+    if cache is not None:
         with _stage("calibrate"):
-            crit_report = None
-            if spec.kind == KIND_KNOWN:
-                critical = pipeline.calibrate_constant_cutoff(
-                    net, spec, config.sizes.b_prime, config.alpha, root.child(_CRIT_STREAM)
-                )
-            else:
-                simulator = partial(
-                    gen_null_features, spec, design=config.design, n2_table=n2_table
-                )
-                crit = pipeline.fit_critical_surface(
-                    net,
-                    gen_critical_inputs(spec),
-                    simulator,
-                    config.sizes.b_prime,
-                    config.alpha,
-                    config.second_pool,
-                    config.second_train,
-                    root.child(_CRIT_STREAM),
-                    mapper=mapper,
-                )
-                critical = crit.net
-                crit_report = crit.report.as_dict()
-            test = FittedTest(
-                statistic_net=net,
-                critical_net=critical,
-                scenario=spec,
-                alpha=config.alpha,
-                provenance={
-                    "config_sha256": config_hash(config),
-                    "seed": config.seed,
-                    "statistic_selection": report.as_dict(),
-                    "critical_selection": crit_report,
-                },
-            )
-            if cache is not None:
-                cache.store_text(bundle_key, pipeline.save_bundle(test))
+            cache.store_text(bundle_key, pipeline.save_bundle(test))
     return test, n2_table
+
+
+def train_statistic(config: ExperimentConfig, n2_table=None, mapper=None) -> tuple:
+    """Statistic stage: simulate the training data, then select and refit
+    the statistic network.  Returns (network, selection report)."""
+    root = RandomStream(seed=config.seed)
+    with _stage("generate"):
+        data = generate_training_data(
+            config.scenario, root.child(_DATA_STREAM), design=config.design, n2_table=n2_table
+        )
+    with _stage("fit"):
+        return pipeline.fit_statistic_net(
+            data, config.first_pool, config.first_train, root.child(_FIT_STREAM), mapper
+        )
+
+
+def calibrate_statistic(
+    config: ExperimentConfig, net, selection: dict, n2_table=None, mapper=None
+) -> FittedTest:
+    """Calibration stage: the cutoff of a trained statistic network.
+
+    A family without a nuisance (critical dimension 0) gets a constant
+    simulated cutoff; any other fits a critical surface to simulated
+    null quantiles.  ``selection`` is the statistic's selection report,
+    kept in the provenance.
+    """
+    spec = config.scenario
+    stream = RandomStream(seed=config.seed).child(_CRIT_STREAM)
+    with _stage("calibrate"):
+        if spec.family.critical_dim == 0:
+            critical = pipeline.calibrate_constant_cutoff(
+                net, spec, config.sizes.b_prime, config.alpha, stream
+            )
+            crit_report = None
+        else:
+            crit = pipeline.fit_critical_surface(
+                net,
+                gen_critical_inputs(spec),
+                partial(gen_null_features, spec, design=config.design, n2_table=n2_table),
+                config.sizes.b_prime,
+                config.alpha,
+                config.second_pool,
+                config.second_train,
+                stream,
+                mapper=mapper,
+            )
+            critical = crit.net
+            crit_report = crit.report.as_dict()
+        return FittedTest(
+            statistic_net=net,
+            critical_net=critical,
+            scenario=spec,
+            alpha=config.alpha,
+            provenance={
+                "config_sha256": config_hash(config),
+                "seed": config.seed,
+                "statistic_selection": selection,
+                "critical_selection": crit_report,
+            },
+        )
 
 
 # --------------------------------------------------------------- validation
@@ -802,92 +776,31 @@ def validate_point(
     bm_level: float,
     stream: RandomStream,
 ) -> list:
-    """Monte Carlo rows (every method, plus ASN when adaptive) at one
-    validation point; all methods share the same simulated draws."""
+    """Monte Carlo rows (every method, plus ASN when the sample size is
+    random) at one validation point; all methods share the same draws."""
     spec = test.scenario
-    alpha = test.alpha
+    family = spec.family
     label = _point_label(point)
-    kind = spec.kind
-    n = spec.n
-    rows = []
-
-    if kind == KIND_KNOWN:
-        (mu0,) = spec.null_params
-        (sigma,) = spec.nuisance_grid
-        metric = METRIC_TYPE_I if point["mu"] == mu0 else METRIC_POWER
-        means, _ = summary_draws(stream.generator(), point["mu"], sigma, n, b_val)
+    metric = METRIC_TYPE_I if family.is_null(spec, point) else METRIC_POWER
+    draws = family.sample(spec, point, b_val, stream, design, n2_table)
+    stat, crit = family.features(spec, draws)
+    rows = [_rate_row(label, "dnn", metric, pipeline.decide_batch(test, stat, crit))]
+    for name, hits in family.comparators:
+        if name in comparators:
+            hit = hits(spec, draws, crit, test.alpha, bm_level)
+            rows.append(_rate_row(label, name, metric, hit))
+    if family.group_sizes is not None:
+        per_group = family.group_sizes(spec, draws)
         rows.append(
-            _rate_row(label, "dnn", metric, pipeline.decide_batch(test, means[:, None], None))
-        )
-        if "z" in comparators:
-            rows.append(
-                _rate_row(label, "z", metric, z_decisions(means, mu0, sigma, n, alpha))
+            Row(
+                point=label,
+                method="design",
+                metric=METRIC_ASN,
+                value=float(np.mean(per_group)),
+                mc_se=float(np.std(per_group) / np.sqrt(b_val)),
+                reps=b_val,
             )
-        return rows
-
-    if kind == KIND_UNKNOWN:
-        (mu0,) = spec.null_params
-        metric = METRIC_TYPE_I if point["mu"] == mu0 else METRIC_POWER
-        means, sds = summary_draws(
-            stream.generator(), point["mu"], point["sigma"], n, b_val
         )
-        unbiased = sds * np.sqrt(n / (n - 1.0))
-        hits = pipeline.decide_batch(
-            test, np.column_stack([means, sds]), unbiased[:, None]
-        )
-        rows.append(_rate_row(label, "dnn", metric, hits))
-        if "t" in comparators:
-            rows.append(
-                _rate_row(label, "t", metric, t_decisions(means, unbiased, n, mu0, alpha))
-            )
-        return rows
-
-    if kind == KIND_BEHRENS_FISHER:
-        metric = METRIC_TYPE_I if point["mu_t"] == point["mu_p"] else METRIC_POWER
-        gen = stream.generator()
-        mp, sp = summary_draws(gen, point["mu_p"], point["sigma_p"], n, b_val)
-        mt, st = summary_draws(gen, point["mu_t"], point["sigma_t"], n, b_val)
-        scale = np.sqrt(n / (n - 1.0))
-        sp_unb, st_unb = sp * scale, st * scale
-        hits = pipeline.decide_batch(
-            test, np.column_stack([mt - mp, sp, st]), np.column_stack([sp_unb, st_unb])
-        )
-        rows.append(_rate_row(label, "dnn", metric, hits))
-        if "welch" in comparators:
-            rows.append(
-                _rate_row(
-                    label,
-                    "welch",
-                    metric,
-                    welch_decisions(mp, sp_unb, n, mt, st_unb, n, alpha),
-                )
-            )
-        return rows
-
-    metric = METRIC_TYPE_I if point["pi_t"] == point["pi_p"] else METRIC_POWER
-    batch = simulate_trials(
-        point["pi_p"], point["pi_t"], design, b_val, stream, n2_table
-    )
-    n1 = design.n1
-    hits = pipeline.decide_batch(
-        test, batch.statistic_features(n1), batch.pooled_stage1_rate(n1)[:, None]
-    )
-    rows.append(_rate_row(label, "dnn", metric, hits))
-    if "incta" in comparators:
-        rows.append(_rate_row(label, "incta", metric, incta_decisions(batch, n1, alpha)))
-    if "bm" in comparators:
-        rows.append(_rate_row(label, "bm", metric, bm_decisions(batch, n1, bm_level)))
-    per_group = n1 + batch.n2.astype(np.float64)
-    rows.append(
-        Row(
-            point=label,
-            method="design",
-            metric=METRIC_ASN,
-            value=float(np.mean(per_group)),
-            mc_se=float(np.std(per_group) / np.sqrt(b_val)),
-            reps=b_val,
-        )
-    )
     return rows
 
 
@@ -1030,16 +943,13 @@ def _adaptive_power(
     alpha: float,
     bm_level: float,
 ) -> float:
+    spec = test.scenario
     batch = simulate_trials(pi_p, pi_t, design, reps, stream, n2_table)
-    n1 = design.n1
+    comparators = dict(spec.family.comparators)
     if method == "dnn":
-        hits = pipeline.decide_batch(
-            test, batch.statistic_features(n1), batch.pooled_stage1_rate(n1)[:, None]
-        )
-    elif method == "incta":
-        hits = incta_decisions(batch, n1, alpha)
-    elif method == "bm":
-        hits = bm_decisions(batch, n1, bm_level)
+        hits = pipeline.decide_batch(test, *spec.family.features(spec, batch))
+    elif method in comparators:
+        hits = comparators[method](spec, batch, None, alpha, bm_level)
     else:
         raise ValueError(f"unknown method {method!r}")
     return float(np.mean(hits))
@@ -1204,24 +1114,22 @@ def _heatmap_row(
     x_p1: int,
     stream: RandomStream,
 ) -> np.ndarray:
-    n1 = design.n1
-    side = n1 + 1
+    side = design.n1 + 1
     gen = stream.generator()
-    stat_blocks = []
-    crit_blocks = []
-    for x_t1 in range(side):
-        n2 = int(n2_table[x_p1, x_t1])
-        x_p2 = gen.binomial(n2, pi_p, size=reps)
-        x_t2 = gen.binomial(n2, pi_t, size=reps)
-        d1 = (x_t1 - x_p1) / n1
-        d2 = (x_t2 - x_p2) / n2
-        stat_blocks.append(
-            np.column_stack([np.full(reps, d1), d2, np.full(reps, float(n2))])
-        )
-        crit_blocks.append(np.full(reps, (x_p1 + x_t1) / (2.0 * n1)))
-    hits = pipeline.decide_batch(
-        test, np.vstack(stat_blocks), np.concatenate(crit_blocks)[:, None]
+    stage2 = [
+        (gen.binomial(n2, pi_p, size=reps), gen.binomial(n2, pi_t, size=reps))
+        for n2 in n2_table[x_p1].tolist()
+    ]
+    x_t1 = np.repeat(np.arange(side), reps)
+    batch = TrialBatch(
+        x_p1=np.full(x_t1.size, x_p1),
+        x_t1=x_t1,
+        n2=n2_table[x_p1][x_t1],
+        x_p2=np.concatenate([x_p2 for x_p2, _ in stage2]),
+        x_t2=np.concatenate([x_t2 for _, x_t2 in stage2]),
     )
+    spec = test.scenario
+    hits = pipeline.decide_batch(test, *spec.family.features(spec, batch))
     return hits.reshape(side, reps).mean(axis=1)
 
 
@@ -1424,14 +1332,8 @@ def _reproduce_runs(table_id: str, scale: float, seed, workers, cache, mapper) -
             config = scaled_config(config, scale)
             if seed is not None:
                 config = with_seed(config, seed)
-            spec = config.scenario
-            if spec.kind == KIND_KNOWN:
-                (sigma,) = spec.nuisance_grid
-                prefix = f"n={spec.n},sigma={sigma:g}"
-            elif spec.kind == KIND_UNKNOWN:
-                prefix = f"n={spec.n}"
-            else:
-                prefix = None
+            label_prefix = config.scenario.family.label_prefix
+            prefix = None if label_prefix is None else label_prefix(config.scenario)
             table, _ = run_experiment(config, workers=workers, cache=cache, mapper=mapper)
             rows.extend(table.rows if prefix is None else _prefixed(table.rows, prefix))
     return ResultsTable(rows=rows)

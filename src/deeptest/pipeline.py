@@ -5,7 +5,10 @@ simulations; with balanced class sizes its linear predictor estimates the
 log likelihood ratio up to an additive constant, so it serves as the test
 statistic.  Fold two learns the statistic's upper-alpha null quantile as
 a function of the nuisance parameters (a constant when the null is fully
-known).  A decision compares statistic to cutoff with strict inequality.
+known).  A decision compares statistic to cutoff with strict inequality;
+observed data reach the networks through the scenario family's feature
+map (see scenarios), the one that training and calibration use, and a
+single decision is a one-row batch.
 
 Structure selection trains every candidate in the pool on one shared
 80/20 split and keeps the smallest validation loss; per-candidate
@@ -34,16 +37,8 @@ from .nnet import (
     TrainConfig,
     TrainingDivergedError,
 )
-from .scenarios import (
-    KIND_ADAPTIVE,
-    KIND_BEHRENS_FISHER,
-    KIND_KNOWN,
-    KIND_UNKNOWN,
-    Dataset,
-    ScenarioSpec,
-)
-from .ssr import TrialPath
-from .stats import empirical_upper_quantile, summarize
+from .scenarios import Dataset, ScenarioSpec
+from .stats import empirical_upper_quantile
 from .streams import RandomStream, derive_seed
 
 __all__ = [
@@ -439,49 +434,31 @@ def fit_critical_surface(
 def observed_features(spec: ScenarioSpec, observed, design=None) -> tuple:
     """Map raw observed data to (statistic input, critical input).
 
-    Statistic inputs use maximum-likelihood scale estimates to match
-    training; critical inputs use the unbiased counterparts (or the
-    pooled first-stage rate in the adaptive design).
+    The data's summaries go through the family's feature map, the one
+    that training and calibration use; the critical input is None when
+    the cutoff is a constant.
     """
-    if spec.kind == KIND_KNOWN:
-        sample = _as_sample(observed, spec.n)
-        s = summarize(sample)
-        return np.array([s.mean]), None
-    if spec.kind == KIND_UNKNOWN:
-        sample = _as_sample(observed, spec.n)
-        s = summarize(sample)
-        return np.array([s.mean, s.mle_sd]), np.array([s.unbiased_sd])
-    if spec.kind == KIND_BEHRENS_FISHER:
-        if not (isinstance(observed, (tuple, list)) and len(observed) == 2):
-            raise ValueError("behrens-fisher data must be (placebo, treatment) samples")
-        sp = summarize(_as_sample(observed[0], spec.n))
-        st = summarize(_as_sample(observed[1], spec.n))
-        stat = np.array([st.mean - sp.mean, sp.mle_sd, st.mle_sd])
-        return stat, np.array([sp.unbiased_sd, st.unbiased_sd])
-    if not isinstance(observed, TrialPath):
-        raise ValueError("adaptive data must be a TrialPath")
-    n1 = spec.n
-    d1 = (observed.x_t1 - observed.x_p1) / n1
-    d2 = (observed.x_t2 - observed.x_p2) / observed.n2
-    stat = np.array([d1, d2, float(observed.n2)])
-    return stat, np.array([(observed.x_p1 + observed.x_t1) / (2.0 * n1)])
+    family = spec.family
+    stat, crit = family.features(spec, family.observe(spec, observed))
+    return stat[0], None if crit is None else crit[0]
 
 
-def _as_sample(observed, n: int) -> np.ndarray:
-    sample = np.asarray(observed, dtype=np.float64)
-    if sample.ndim != 1 or sample.size != n:
-        raise ValueError(f"expected a 1-d sample of length {n}")
-    return sample
+def _scores(test: FittedTest, stat_features, crit_features) -> tuple:
+    """Statistic values and cutoffs (a scalar for a constant cutoff)."""
+    stats = _statistic_values(test.statistic_net, np.asarray(stat_features, dtype=np.float64))
+    if isinstance(test.critical_net, ConstantCutoff):
+        return stats, test.critical_net.value
+    if crit_features is None:
+        raise ValueError("critical features required for a learned surface")
+    return stats, _statistic_values(test.critical_net, np.asarray(crit_features, dtype=np.float64))
 
 
 def decide(test: FittedTest, observed, design=None) -> Decision:
-    """Evaluate one observation; reject when statistic > cutoff strictly."""
-    stat_input, crit_input = observed_features(test.scenario, observed, design)
-    statistic = float(test.statistic_net.linear_predictor(stat_input[None, :])[0])
-    if isinstance(test.critical_net, ConstantCutoff):
-        cutoff = test.critical_net.value
-    else:
-        cutoff = float(test.critical_net.linear_predictor(crit_input[None, :])[0])
+    """Evaluate one observation as a one-row batch; reject when
+    statistic > cutoff strictly."""
+    stat, crit = observed_features(test.scenario, observed, design)
+    stats, cutoffs = _scores(test, stat[None, :], None if crit is None else crit[None, :])
+    statistic, cutoff = float(stats[0]), float(np.ravel(cutoffs)[0])
     return Decision(statistic=statistic, cutoff=cutoff, reject=bool(statistic > cutoff))
 
 
@@ -489,15 +466,7 @@ def decide_batch(
     test: FittedTest, stat_features: np.ndarray, crit_features: np.ndarray | None
 ) -> np.ndarray:
     """Vectorized decisions on precomputed feature matrices."""
-    stats = _statistic_values(test.statistic_net, np.asarray(stat_features, dtype=np.float64))
-    if isinstance(test.critical_net, ConstantCutoff):
-        cutoffs = test.critical_net.value
-    else:
-        if crit_features is None:
-            raise ValueError("critical features required for a learned surface")
-        cutoffs = _statistic_values(
-            test.critical_net, np.asarray(crit_features, dtype=np.float64)
-        )
+    stats, cutoffs = _scores(test, stat_features, crit_features)
     return stats > cutoffs
 
 

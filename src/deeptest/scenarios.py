@@ -1,36 +1,58 @@
-"""Monte Carlo builders for every dataset the testing pipeline consumes.
+"""Scenario families and the Monte Carlo builders for every dataset the
+testing pipeline consumes.
 
-Each scenario kind pairs a null and an alternative sampling law and
-exposes three things: labeled training data for the statistic network,
-clean nuisance-grid inputs for the critical-value network, and null
-feature samples for cutoff calibration.  Features are the sufficient
-summaries the networks see:
+Each scenario kind is one :class:`Family` record in ``FAMILIES``, keyed
+by ``ScenarioSpec.kind``; every kind-specific rule lives in its record.
+A record pairs a summary sampler for one parameter point with one
+feature map, draws -> (statistic features, critical features), so
+training data, null samples for calibration, validation, heatmaps and
+decisions on observed data all see the same features:
 
-    normal-known-sigma   [mean]
-    normal-unknown-sigma [mean, sd_mle]
-    behrens-fisher       [mean_t - mean_p, sd_p_mle, sd_t_mle]
-    adaptive-binomial    [stage-1 rate diff, stage-2 rate diff, n2]
+    kind                 statistic features           critical features
+    normal-known-sigma   [mean]                       none (constant cutoff)
+    normal-unknown-sigma [mean, sd_mle]               [sd]
+    behrens-fisher       [mean_t - mean_p, sd_p_mle,  [sd_p, sd_t]
+                          sd_t_mle]
+    adaptive-binomial    [stage-1 rate diff, stage-2  [pooled stage-1 rate]
+                          rate diff, n2]
 
-Normal-scenario summaries are drawn from their exact sampling law
-(mean and scaled-chi-square sd) instead of averaging raw observations;
-the two routes agree in distribution and the shortcut removes an
-n-fold simulation cost.
+Statistic features use maximum-likelihood scale estimates, critical
+features the unbiased ones.  Normal-scenario summaries are drawn from
+their exact sampling law (mean and scaled-chi-square sd) instead of
+averaging raw observations; the two routes agree in distribution and the
+shortcut removes an n-fold simulation cost.
 
-Generation is a pure function of (spec, stream): grid points use
-independent substreams, and regenerating with the same spec and stream
-is bit-identical.
+Generation is a pure function of (spec, stream) and regenerating with
+the same spec and stream is bit-identical.  Known-sigma and adaptive
+grid point a draws its null class from ``stream.child(2a)`` and its
+alternative from ``stream.child(2a + 1)``; unknown-sigma and
+Behrens-Fisher draw both classes, null first, from ``stream.child(a)``.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
-from math import isqrt
+from typing import Callable
 
 import numpy as np
 
-from .ssr import DesignParams, n2_lookup_table, simulate_trials
-from .stats import normal_cdf, normal_quantile
+from .classical import (
+    t_decisions,
+    welch_decisions,
+    welch_mu_t_for_power,
+    z_decisions,
+    z_test_mu1_for_power,
+)
+from .ssr import (
+    DesignParams,
+    TrialBatch,
+    TrialPath,
+    bm_decisions,
+    incta_decisions,
+    n2_lookup_table,
+    simulate_trials,
+)
+from .stats import normal_cdf, normal_quantile, summarize
 from .streams import RandomStream
 
 __all__ = [
@@ -38,6 +60,8 @@ __all__ = [
     "KIND_UNKNOWN",
     "KIND_BEHRENS_FISHER",
     "KIND_ADAPTIVE",
+    "Family",
+    "FAMILIES",
     "DatasetCounts",
     "ScenarioSpec",
     "Dataset",
@@ -48,10 +72,6 @@ __all__ = [
     "solve_pi_t",
     "summary_draws",
     "generate_training_data",
-    "gen_simple_known",
-    "gen_simple_unknown",
-    "gen_behrens_fisher",
-    "gen_adaptive",
     "gen_critical_inputs",
     "gen_null_features",
 ]
@@ -61,16 +81,37 @@ KIND_UNKNOWN = "normal-unknown-sigma"
 KIND_BEHRENS_FISHER = "behrens-fisher"
 KIND_ADAPTIVE = "adaptive-binomial"
 
-_KINDS = (KIND_KNOWN, KIND_UNKNOWN, KIND_BEHRENS_FISHER, KIND_ADAPTIVE)
-
 _SHUFFLE_CHILD = 0x53484646
 
-_FEATURE_NAMES = {
-    KIND_KNOWN: ("mean",),
-    KIND_UNKNOWN: ("mean", "sd_mle"),
-    KIND_BEHRENS_FISHER: ("diff", "sd_p_mle", "sd_t_mle"),
-    KIND_ADAPTIVE: ("d1", "d2", "n2"),
-}
+
+@dataclass(frozen=True)
+class Family:
+    """Every rule of one scenario kind.
+
+    The fields hold only module-level functions, so specs and fitted
+    tests, which find their record by kind, pickle into spawn workers.
+    ``draws`` is what ``sample`` returns for one parameter point: summary
+    arrays for the normal kinds, a TrialBatch for the adaptive kind.
+    """
+
+    kind: str
+    feature_names: tuple  # statistic features
+    critical_dim: int  # critical features; 0 means a constant cutoff
+    point_keys: tuple  # keys of a validation point
+    cfg_keys: tuple  # keys of the config's scenario section besides kind
+    shared_stream: bool  # both classes of a grid point draw from child(a)
+    check_grid: Callable  # (spec) -> None, raises ValueError
+    from_cfg: Callable  # (scenario doc, sizes, critical points, alpha) -> spec
+    point: Callable  # (spec, grid nuisance, alternative or None) -> point
+    is_null: Callable  # (spec, point) -> bool
+    sample: Callable  # (spec, point, reps, stream, design, n2_table) -> draws
+    observe: Callable  # (spec, observed data) -> one row of draws
+    features: Callable  # (spec, draws) -> (statistic, critical or None)
+    # (name, hits(spec, draws, critical, alpha, bm_level)) per comparator
+    comparators: tuple
+    # (spec) -> prefix that tells apart the exhibit rows of several specs
+    label_prefix: Callable | None = None
+    group_sizes: Callable | None = None  # (spec, draws) -> per-group sizes
 
 
 @dataclass(frozen=True)
@@ -111,7 +152,7 @@ class ScenarioSpec:
     counts: DatasetCounts
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in FAMILIES:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if len(self.nuisance_grid) == 0:
             raise ValueError("nuisance_grid must be nonempty")
@@ -121,28 +162,19 @@ class ScenarioSpec:
             raise ValueError("counts.a must equal len(nuisance_grid)")
         if self.counts.b1 > 0 and len(self.alt_params) != len(self.nuisance_grid):
             raise ValueError("alt_params must align with nuisance_grid")
-        if self.kind in (KIND_KNOWN, KIND_UNKNOWN):
-            if any(s <= 0.0 for s in self.nuisance_grid):
-                raise ValueError("sigma grid values must be positive")
-        elif self.kind == KIND_BEHRENS_FISHER:
-            for pair in self.nuisance_grid:
-                if len(pair) != 2 or pair[0] <= 0.0 or pair[1] <= 0.0:
-                    raise ValueError("nuisance pairs must be positive (sigma_p, sigma_t)")
-        else:
-            for rate in self.nuisance_grid:
-                if not 0.0 < rate < 1.0:
-                    raise ValueError("rate grid values must lie in (0, 1)")
-            for rate in self.alt_params:
-                if not 0.0 < rate < 1.0:
-                    raise ValueError("alternative rates must lie in (0, 1)")
+        self.family.check_grid(self)
+
+    @property
+    def family(self) -> Family:
+        return FAMILIES[self.kind]
 
     @property
     def feature_names(self) -> tuple:
-        return _FEATURE_NAMES[self.kind]
+        return self.family.feature_names
 
     @property
     def input_dim(self) -> int:
-        return len(_FEATURE_NAMES[self.kind])
+        return len(self.family.feature_names)
 
 
 @dataclass
@@ -167,36 +199,6 @@ class Dataset:
 
     def __len__(self):
         return self.labels.size
-
-    def class_slice(self, label: float) -> np.ndarray:
-        return self.features[self.labels == label]
-
-    def row_checksum(self) -> str:
-        """Order-independent digest of the (feature, label) multiset."""
-        import hashlib
-
-        rows = np.column_stack([self.features, self.labels])
-        order = np.lexsort(rows.T[::-1])
-        return hashlib.sha256(np.ascontiguousarray(rows[order]).tobytes()).hexdigest()
-
-    def to_csv(self, path) -> None:
-        header = ",".join(list(self.feature_names) + ["label"])
-        rows = np.column_stack([self.features, self.labels])
-        np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=header, comments="")
-
-    @classmethod
-    def from_csv(cls, path) -> "Dataset":
-        if hasattr(path, "read"):
-            text = path.read()
-        else:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        lines = text.splitlines()
-        names = tuple(lines[0].split(","))
-        if names[-1] != "label":
-            raise ValueError("last column must be the label")
-        body = np.loadtxt(io.StringIO("\n".join(lines[1:])), delimiter=",", ndmin=2)
-        return cls(features=body[:, :-1], labels=body[:, -1], feature_names=names[:-1])
 
 
 # ------------------------------------------------------------ constructors
@@ -228,8 +230,6 @@ def unknown_sigma_scenario(
 ) -> ScenarioSpec:
     """Unknown-sigma scenario; per-sigma alternative means are set so the
     known-sigma z test would reach the target power."""
-    from .classical import z_test_mu1_for_power
-
     sigma_grid = tuple(float(s) for s in sigma_grid)
     mu1 = tuple(z_test_mu1_for_power(mu0, s, n, alpha, power) for s in sigma_grid)
     return ScenarioSpec(
@@ -255,8 +255,6 @@ def behrens_fisher_scenario(
 ) -> ScenarioSpec:
     """All (sigma_p, sigma_t) pairs crossed with the target-power list;
     treatment means come from the Welch power approximation."""
-    from .classical import welch_mu_t_for_power
-
     sigma_values = tuple(float(s) for s in sigma_values)
     powers = tuple(float(p) for p in powers)
     grid = []
@@ -342,105 +340,15 @@ def summary_draws(gen, mu: float, sigma: float, n: int, reps: int):
     return means, sds
 
 
-def _joint_shuffle(features: np.ndarray, labels: np.ndarray, stream: RandomStream):
-    perm = stream.generator().permutation(labels.size)
-    return features[perm], labels[perm]
+class _SharedGenerator:
+    """Stands in for a RandomStream whose generator() calls all continue
+    one generator, so successive samples draw in turn from one substream."""
 
+    def __init__(self, stream: RandomStream):
+        self._gen = stream.generator()
 
-def gen_simple_known(spec: ScenarioSpec, stream: RandomStream) -> Dataset:
-    """Labeled sample means under the two point hypotheses."""
-    if spec.kind != KIND_KNOWN:
-        raise ValueError("spec kind must be normal-known-sigma")
-    (mu0,) = spec.null_params
-    (mu1,) = spec.alt_params
-    (sigma,) = spec.nuisance_grid
-    b0, b1 = spec.counts.b0, spec.counts.b1
-    null_means, _ = summary_draws(stream.child(0).generator(), mu0, sigma, spec.n, b0)
-    alt_means, _ = summary_draws(stream.child(1).generator(), mu1, sigma, spec.n, b1)
-    features = np.concatenate([null_means, alt_means])[:, None]
-    labels = np.concatenate([np.zeros(b0), np.ones(b1)])
-    features, labels = _joint_shuffle(features, labels, stream.child(_SHUFFLE_CHILD))
-    return Dataset(features=features, labels=labels, feature_names=spec.feature_names)
-
-
-def gen_simple_unknown(spec: ScenarioSpec, stream: RandomStream) -> Dataset:
-    """Labeled (mean, MLE sd) pairs stacked over the sigma grid."""
-    if spec.kind != KIND_UNKNOWN:
-        raise ValueError("spec kind must be normal-unknown-sigma")
-    (mu0,) = spec.null_params
-    b0, b1 = spec.counts.b0, spec.counts.b1
-    blocks = []
-    labels = []
-    for a, sigma in enumerate(spec.nuisance_grid):
-        gen = stream.child(a).generator()
-        m0, s0 = summary_draws(gen, mu0, sigma, spec.n, b0)
-        mu1 = spec.alt_params[a] if b1 > 0 else mu0
-        m1, s1 = summary_draws(gen, mu1, sigma, spec.n, b1)
-        blocks.append(np.column_stack([np.concatenate([m0, m1]), np.concatenate([s0, s1])]))
-        labels.append(np.concatenate([np.zeros(b0), np.ones(b1)]))
-    features = np.vstack(blocks)
-    labels = np.concatenate(labels)
-    features, labels = _joint_shuffle(features, labels, stream.child(_SHUFFLE_CHILD))
-    return Dataset(features=features, labels=labels, feature_names=spec.feature_names)
-
-
-def gen_behrens_fisher(spec: ScenarioSpec, stream: RandomStream) -> Dataset:
-    """Labeled (mean diff, sd_p, sd_t) triples over the variance-pair grid."""
-    if spec.kind != KIND_BEHRENS_FISHER:
-        raise ValueError("spec kind must be behrens-fisher")
-    (mu_p,) = spec.null_params
-    b0, b1 = spec.counts.b0, spec.counts.b1
-    blocks = []
-    labels = []
-    for a, (sigma_p, sigma_t) in enumerate(spec.nuisance_grid):
-        gen = stream.child(a).generator()
-        rows = []
-        for label, mu_t, reps in ((0, mu_p, b0), (1, spec.alt_params[a] if b1 else mu_p, b1)):
-            mp, sp = summary_draws(gen, mu_p, sigma_p, spec.n, reps)
-            mt, st = summary_draws(gen, mu_t, sigma_t, spec.n, reps)
-            rows.append(np.column_stack([mt - mp, sp, st]))
-        blocks.append(np.vstack(rows))
-        labels.append(np.concatenate([np.zeros(b0), np.ones(b1)]))
-    features = np.vstack(blocks)
-    labels = np.concatenate(labels)
-    features, labels = _joint_shuffle(features, labels, stream.child(_SHUFFLE_CHILD))
-    return Dataset(features=features, labels=labels, feature_names=spec.feature_names)
-
-
-def gen_adaptive(
-    spec: ScenarioSpec,
-    design: DesignParams,
-    stream: RandomStream,
-    n2_table: np.ndarray | None = None,
-) -> Dataset:
-    """Labeled two-stage trial summaries over the null-rate grid.
-
-    n2 is data-dependent, so every example comes from simulating the full
-    reassessed trial.  Without a precomputed reassessment table, the
-    design's table is built here (it is seed-free, so the result is the
-    same either way).
-    """
-    if spec.kind != KIND_ADAPTIVE:
-        raise ValueError("spec kind must be adaptive-binomial")
-    if n2_table is None:
-        n2_table = n2_lookup_table(design)
-    b0, b1 = spec.counts.b0, spec.counts.b1
-    blocks = []
-    labels = []
-    for a, pi_p in enumerate(spec.nuisance_grid):
-        if b0 > 0:
-            batch = simulate_trials(pi_p, pi_p, design, b0, stream.child(2 * a), n2_table)
-            blocks.append(batch.statistic_features(design.n1))
-            labels.append(np.zeros(b0))
-        if b1 > 0:
-            pi_t = spec.alt_params[a]
-            batch = simulate_trials(pi_p, pi_t, design, b1, stream.child(2 * a + 1), n2_table)
-            blocks.append(batch.statistic_features(design.n1))
-            labels.append(np.ones(b1))
-    features = np.vstack(blocks)
-    labels = np.concatenate(labels)
-    features, labels = _joint_shuffle(features, labels, stream.child(_SHUFFLE_CHILD))
-    return Dataset(features=features, labels=labels, feature_names=spec.feature_names)
+    def generator(self):
+        return self._gen
 
 
 def generate_training_data(
@@ -449,45 +357,58 @@ def generate_training_data(
     design: DesignParams | None = None,
     n2_table: np.ndarray | None = None,
 ) -> Dataset:
-    """Kind dispatcher for the four generators."""
-    if spec.kind == KIND_KNOWN:
-        return gen_simple_known(spec, stream)
-    if spec.kind == KIND_UNKNOWN:
-        return gen_simple_unknown(spec, stream)
-    if spec.kind == KIND_BEHRENS_FISHER:
-        return gen_behrens_fisher(spec, stream)
-    if design is None:
-        raise ValueError("adaptive scenario needs DesignParams")
-    return gen_adaptive(spec, design, stream, n2_table=n2_table)
+    """Labeled statistic features: b0 null and b1 alternative draws at
+    every nuisance grid point, jointly shuffled.
+
+    Adaptive specs need the design; without a precomputed reassessment
+    table the design's table is built once here (it is seed-free, so the
+    result is the same either way).
+    """
+    family = spec.family
+    if design is not None and n2_table is None:
+        n2_table = n2_lookup_table(design)
+    blocks = []
+    labels = []
+    for a, nuisance in enumerate(spec.nuisance_grid):
+        if family.shared_stream:
+            shared = _SharedGenerator(stream.child(a))
+            class_streams = (shared, shared)
+        else:
+            class_streams = (stream.child(2 * a), stream.child(2 * a + 1))
+        class_sizes = (spec.counts.b0, spec.counts.b1)
+        for label, reps, class_stream in zip((0, 1), class_sizes, class_streams):
+            if reps == 0:
+                continue
+            point = family.point(spec, nuisance, spec.alt_params[a] if label else None)
+            draws = family.sample(spec, point, reps, class_stream, design, n2_table)
+            blocks.append(family.features(spec, draws)[0])
+            labels.append(np.full(reps, float(label)))
+    labels = np.concatenate(labels)
+    perm = stream.child(_SHUFFLE_CHILD).generator().permutation(labels.size)
+    return Dataset(
+        features=np.vstack(blocks)[perm], labels=labels[perm], feature_names=family.feature_names
+    )
 
 
 def gen_critical_inputs(spec: ScenarioSpec) -> np.ndarray:
     """Nuisance-grid inputs the critical-value network trains on.
 
-    Regular sequences spanning the scenario's nuisance range; the
-    Behrens-Fisher kind uses a sqrt(L) x sqrt(L) tensor grid over the
-    two scale axes.
+    A regular tensor grid spanning the nuisance range: L points for a
+    1-d nuisance, sqrt(L) x sqrt(L) over the two scale axes of
+    Behrens-Fisher.
     """
     L = spec.counts.l
     if L < 2:
         raise ValueError("need at least 2 critical-value inputs")
-    if spec.kind == KIND_KNOWN:
-        raise ValueError("known-sigma tests use a constant cutoff, not a surface")
-    if spec.kind == KIND_UNKNOWN:
-        lo, hi = min(spec.nuisance_grid), max(spec.nuisance_grid)
-        return np.linspace(lo, hi, L)[:, None]
-    if spec.kind == KIND_ADAPTIVE:
-        lo, hi = min(spec.nuisance_grid), max(spec.nuisance_grid)
-        return np.linspace(lo, hi, L)[:, None]
-    side = isqrt(L)
-    if side * side != L:
-        raise ValueError("Behrens-Fisher critical grid needs a square L")
-    sp = np.array([p[0] for p in spec.nuisance_grid])
-    st = np.array([p[1] for p in spec.nuisance_grid])
-    ax_p = np.linspace(sp.min(), sp.max(), side)
-    ax_t = np.linspace(st.min(), st.max(), side)
-    gp, gt = np.meshgrid(ax_p, ax_t, indexing="ij")
-    return np.column_stack([gp.ravel(), gt.ravel()])
+    dim = spec.family.critical_dim
+    if dim == 0:
+        raise ValueError(f"{spec.kind} tests use a constant cutoff, not a surface")
+    side = round(L ** (1.0 / dim))
+    if side**dim != L:
+        raise ValueError(f"a {dim}-d critical grid needs L = side**{dim}, got {L}")
+    grid = np.array(spec.nuisance_grid, dtype=np.float64).reshape(len(spec.nuisance_grid), dim)
+    axes = [np.linspace(column.min(), column.max(), side) for column in grid.T]
+    return np.column_stack([mesh.ravel() for mesh in np.meshgrid(*axes, indexing="ij")])
 
 
 def gen_null_features(
@@ -501,30 +422,305 @@ def gen_null_features(
     """Statistic-network inputs simulated under H0 at one nuisance value.
 
     ``nuisance`` is a scalar sigma or rate, or a (sigma_p, sigma_t) pair,
-    matching the rows gen_critical_inputs produces for the kind.
+    matching the rows gen_critical_inputs produces for the kind; the
+    known-sigma kind ignores it (sigma is fixed and known).
     """
-    if spec.kind == KIND_KNOWN:
-        # the nuisance argument is ignored: sigma is fixed and known
-        (mu0,) = spec.null_params
-        (sigma,) = spec.nuisance_grid
-        means, _ = summary_draws(stream.generator(), mu0, sigma, spec.n, reps)
-        return means[:, None]
-    if spec.kind == KIND_UNKNOWN:
-        (mu0,) = spec.null_params
-        gen = stream.generator()
-        means, sds = summary_draws(gen, mu0, float(np.ravel(nuisance)[0]), spec.n, reps)
-        return np.column_stack([means, sds])
-    if spec.kind == KIND_BEHRENS_FISHER:
-        (mu_p,) = spec.null_params
-        sigma_p, sigma_t = (float(v) for v in np.ravel(nuisance)[:2])
-        gen = stream.generator()
-        mp, sp = summary_draws(gen, mu_p, sigma_p, spec.n, reps)
-        mt, st = summary_draws(gen, mu_p, sigma_t, spec.n, reps)
-        return np.column_stack([mt - mp, sp, st])
+    family = spec.family
+    draws = family.sample(spec, family.point(spec, nuisance, None), reps, stream, design, n2_table)
+    return family.features(spec, draws)[0]
+
+
+# ------------------------------------------------------- family: normal mean
+
+
+def _check_sigmas(spec: ScenarioSpec) -> None:
+    if any(s <= 0.0 for s in spec.nuisance_grid):
+        raise ValueError("sigma grid values must be positive")
+
+
+def _unbiased(mle_sds: np.ndarray, n: int) -> np.ndarray:
+    """Divisor n-1 sd from the divisor-n (MLE) sd."""
+    return mle_sds * np.sqrt(n / (n - 1.0))
+
+
+def _mean_point(spec: ScenarioSpec, nuisance, alt) -> dict:
+    return {"mu": spec.null_params[0] if alt is None else alt}
+
+
+def _sigma_point(spec: ScenarioSpec, nuisance, alt) -> dict:
+    return {**_mean_point(spec, nuisance, alt), "sigma": float(np.ravel(nuisance)[0])}
+
+
+def _mean_is_null(spec: ScenarioSpec, point: dict) -> bool:
+    return point["mu"] == spec.null_params[0]
+
+
+def _mean_sample(spec: ScenarioSpec, point: dict, reps: int, stream, design=None, n2_table=None):
+    # a known-sigma point carries no sigma: it is the spec's only grid value
+    sigma = point.get("sigma", spec.nuisance_grid[0])
+    return summary_draws(stream.generator(), point["mu"], sigma, spec.n, reps)
+
+
+def _mean_observe(spec: ScenarioSpec, observed) -> tuple:
+    sample = np.asarray(observed, dtype=np.float64)
+    if sample.ndim != 1 or sample.size != spec.n:
+        raise ValueError(f"expected a 1-d sample of length {spec.n}")
+    s = summarize(sample)
+    return np.array([s.mean]), np.array([s.mle_sd])
+
+
+def _known_features(spec: ScenarioSpec, draws) -> tuple:
+    means, _ = draws
+    return means[:, None], None
+
+
+def _unknown_features(spec: ScenarioSpec, draws) -> tuple:
+    means, sds = draws
+    return np.column_stack([means, sds]), _unbiased(sds, spec.n)[:, None]
+
+
+def _z_hits(spec, draws, critical, alpha, bm_level):
+    return z_decisions(draws[0], spec.null_params[0], spec.nuisance_grid[0], spec.n, alpha)
+
+
+def _t_hits(spec, draws, critical, alpha, bm_level):
+    return t_decisions(draws[0], critical[:, 0], spec.n, spec.null_params[0], alpha)
+
+
+def _known_from_cfg(doc: dict, sizes, critical_points: int, alpha: float) -> ScenarioSpec:
+    return known_sigma_scenario(
+        mu0=float(doc["mu0"]),
+        mu1=float(doc["mu1"]),
+        sigma=float(doc["sigma"]),
+        n=int(doc["n"]),
+        b0=sizes.b0,
+        b1=sizes.b1,
+        b_prime=sizes.b_prime,
+    )
+
+
+def _unknown_from_cfg(doc: dict, sizes, critical_points: int, alpha: float) -> ScenarioSpec:
+    return unknown_sigma_scenario(
+        mu0=float(doc["mu0"]),
+        sigma_grid=doc["sigma_grid"],
+        n=int(doc["n"]),
+        b0=sizes.b0,
+        b1=sizes.b1,
+        l=critical_points,
+        b_prime=sizes.b_prime,
+        power=float(doc.get("training_power", 0.9)),
+        alpha=alpha,
+    )
+
+
+def _known_prefix(spec: ScenarioSpec) -> str:
+    return f"n={spec.n},sigma={spec.nuisance_grid[0]:g}"
+
+
+def _unknown_prefix(spec: ScenarioSpec) -> str:
+    return f"n={spec.n}"
+
+
+# ------------------------------------------------ family: Behrens-Fisher
+
+
+def _check_sigma_pairs(spec: ScenarioSpec) -> None:
+    for pair in spec.nuisance_grid:
+        if len(pair) != 2 or pair[0] <= 0.0 or pair[1] <= 0.0:
+            raise ValueError("nuisance pairs must be positive (sigma_p, sigma_t)")
+
+
+def _bf_point(spec: ScenarioSpec, nuisance, alt) -> dict:
+    (mu_p,) = spec.null_params
+    sigma_p, sigma_t = (float(v) for v in np.ravel(nuisance)[:2])
+    mu_t = mu_p if alt is None else alt
+    return {"mu_p": mu_p, "mu_t": mu_t, "sigma_p": sigma_p, "sigma_t": sigma_t}
+
+
+def _bf_is_null(spec: ScenarioSpec, point: dict) -> bool:
+    return point["mu_t"] == point["mu_p"]
+
+
+def _bf_sample(spec: ScenarioSpec, point: dict, reps: int, stream, design=None, n2_table=None):
+    gen = stream.generator()
+    mp, sp = summary_draws(gen, point["mu_p"], point["sigma_p"], spec.n, reps)
+    mt, st = summary_draws(gen, point["mu_t"], point["sigma_t"], spec.n, reps)
+    return mp, sp, mt, st
+
+
+def _bf_observe(spec: ScenarioSpec, observed) -> tuple:
+    if not (isinstance(observed, (tuple, list)) and len(observed) == 2):
+        raise ValueError("behrens-fisher data must be (placebo, treatment) samples")
+    return _mean_observe(spec, observed[0]) + _mean_observe(spec, observed[1])
+
+
+def _bf_features(spec: ScenarioSpec, draws) -> tuple:
+    mp, sp, mt, st = draws
+    critical = np.column_stack([_unbiased(sp, spec.n), _unbiased(st, spec.n)])
+    return np.column_stack([mt - mp, sp, st]), critical
+
+
+def _welch_hits(spec, draws, critical, alpha, bm_level):
+    mean_p, mean_t = draws[0], draws[2]
+    return welch_decisions(mean_p, critical[:, 0], spec.n, mean_t, critical[:, 1], spec.n, alpha)
+
+
+def _bf_from_cfg(doc: dict, sizes, critical_points: int, alpha: float) -> ScenarioSpec:
+    return behrens_fisher_scenario(
+        mu_p=float(doc["mu_p"]),
+        sigma_values=doc["sigma_values"],
+        powers=doc["training_powers"],
+        n=int(doc["n"]),
+        b0=sizes.b0,
+        b1=sizes.b1,
+        l=critical_points,
+        b_prime=sizes.b_prime,
+        alpha=alpha,
+    )
+
+
+# ------------------------------------------------------ family: adaptive
+
+
+def _check_rates(spec: ScenarioSpec) -> None:
+    for rate in spec.nuisance_grid:
+        if not 0.0 < rate < 1.0:
+            raise ValueError("rate grid values must lie in (0, 1)")
+    for rate in spec.alt_params:
+        if not 0.0 < rate < 1.0:
+            raise ValueError("alternative rates must lie in (0, 1)")
+
+
+def _rate_point(spec: ScenarioSpec, nuisance, alt) -> dict:
+    rate = float(np.ravel(nuisance)[0])
+    return {"pi_p": rate, "pi_t": rate if alt is None else alt}
+
+
+def _rate_is_null(spec: ScenarioSpec, point: dict) -> bool:
+    return point["pi_t"] == point["pi_p"]
+
+
+def _trial_sample(spec: ScenarioSpec, point: dict, reps: int, stream, design=None, n2_table=None):
+    # n2 is data-dependent, so every draw simulates the full reassessed trial
     if design is None:
         raise ValueError("adaptive scenario needs DesignParams")
     if n2_table is None:
         n2_table = n2_lookup_table(design)
-    rate = float(np.ravel(nuisance)[0])
-    batch = simulate_trials(rate, rate, design, reps, stream, n2_table)
-    return batch.statistic_features(design.n1)
+    return simulate_trials(point["pi_p"], point["pi_t"], design, reps, stream, n2_table)
+
+
+def _trial_observe(spec: ScenarioSpec, observed) -> TrialBatch:
+    if not isinstance(observed, TrialPath):
+        raise ValueError("adaptive data must be a TrialPath")
+    counts = (observed.x_p1, observed.x_t1, observed.n2, observed.x_p2, observed.x_t2)
+    return TrialBatch(*(np.array([count]) for count in counts))
+
+
+def _trial_features(spec: ScenarioSpec, batch: TrialBatch) -> tuple:
+    return batch.statistic_features(spec.n), batch.pooled_stage1_rate(spec.n)[:, None]
+
+
+def _incta_hits(spec, batch, critical, alpha, bm_level):
+    return incta_decisions(batch, spec.n, alpha)
+
+
+def _bm_hits(spec, batch, critical, alpha, bm_level):
+    return bm_decisions(batch, spec.n, bm_level)
+
+
+def _trial_group_sizes(spec: ScenarioSpec, batch: TrialBatch) -> np.ndarray:
+    return spec.n + batch.n2.astype(np.float64)
+
+
+def _adaptive_from_cfg(doc: dict, sizes, critical_points: int, alpha: float) -> ScenarioSpec:
+    grid = doc["pi_p_grid"]
+    if isinstance(grid, dict):
+        rates = np.linspace(float(grid["start"]), float(grid["stop"]), int(grid["count"]))
+        grid = [round(float(r), 10) for r in rates]
+    return adaptive_scenario(
+        pi_p_grid=grid,
+        n1=int(doc["n1"]),
+        b0=sizes.b0,
+        b1=sizes.b1,
+        l=critical_points,
+        b_prime=sizes.b_prime,
+        power=float(doc.get("training_power", 0.85)),
+        alpha=alpha,
+    )
+
+
+# ---------------------------------------------------------------- registry
+
+
+FAMILIES = {
+    family.kind: family
+    for family in (
+        Family(
+            kind=KIND_KNOWN,
+            feature_names=("mean",),
+            critical_dim=0,
+            point_keys=("mu",),
+            cfg_keys=("mu0", "mu1", "sigma", "n"),
+            shared_stream=False,
+            check_grid=_check_sigmas,
+            from_cfg=_known_from_cfg,
+            point=_mean_point,
+            is_null=_mean_is_null,
+            sample=_mean_sample,
+            observe=_mean_observe,
+            features=_known_features,
+            comparators=(("z", _z_hits),),
+            label_prefix=_known_prefix,
+        ),
+        Family(
+            kind=KIND_UNKNOWN,
+            feature_names=("mean", "sd_mle"),
+            critical_dim=1,
+            point_keys=("mu", "sigma"),
+            cfg_keys=("mu0", "sigma_grid", "n", "training_power"),
+            shared_stream=True,
+            check_grid=_check_sigmas,
+            from_cfg=_unknown_from_cfg,
+            point=_sigma_point,
+            is_null=_mean_is_null,
+            sample=_mean_sample,
+            observe=_mean_observe,
+            features=_unknown_features,
+            comparators=(("t", _t_hits),),
+            label_prefix=_unknown_prefix,
+        ),
+        Family(
+            kind=KIND_BEHRENS_FISHER,
+            feature_names=("diff", "sd_p_mle", "sd_t_mle"),
+            critical_dim=2,
+            point_keys=("mu_p", "mu_t", "sigma_p", "sigma_t"),
+            cfg_keys=("mu_p", "sigma_values", "training_powers", "n"),
+            shared_stream=True,
+            check_grid=_check_sigma_pairs,
+            from_cfg=_bf_from_cfg,
+            point=_bf_point,
+            is_null=_bf_is_null,
+            sample=_bf_sample,
+            observe=_bf_observe,
+            features=_bf_features,
+            comparators=(("welch", _welch_hits),),
+        ),
+        Family(
+            kind=KIND_ADAPTIVE,
+            feature_names=("d1", "d2", "n2"),
+            critical_dim=1,
+            point_keys=("pi_p", "pi_t"),
+            cfg_keys=("n1", "pi_p_grid", "training_power"),
+            shared_stream=False,
+            check_grid=_check_rates,
+            from_cfg=_adaptive_from_cfg,
+            point=_rate_point,
+            is_null=_rate_is_null,
+            sample=_trial_sample,
+            observe=_trial_observe,
+            features=_trial_features,
+            comparators=(("incta", _incta_hits), ("bm", _bm_hits)),
+            group_sizes=_trial_group_sizes,
+        ),
+    )
+}

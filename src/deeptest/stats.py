@@ -1,9 +1,9 @@
 """Distributions, estimators, and quantiles shared by every module.
 
-Sampling routines are pure functions of a :class:`~deeptest.streams.RandomStream`:
-calling one twice with the same stream replays the same draws.  Distinct
-draws therefore come from distinct child streams, which is what makes the
-Monte Carlo layers reproducible under any worker count.
+The package draws its random numbers elsewhere, from
+:class:`~deeptest.streams.RandomStream` generators; this module holds
+the deterministic pieces: normal and Student-t quantiles, Beta moment
+matching, sample summaries and the empirical upper quantile.
 """
 
 from __future__ import annotations
@@ -13,19 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri, stdtrit
 
-from .streams import RandomStream
-
 __all__ = [
     "SampleSummary",
     "normal_quantile",
     "normal_cdf",
     "student_t_quantile",
-    "sample_normal",
-    "sample_binomial",
-    "sample_beta",
     "beta_from_moments",
     "summarize",
-    "summarize_rows",
     "empirical_upper_quantile",
 ]
 
@@ -82,58 +76,6 @@ def student_t_quantile(u, df):
     return float(out) if out.ndim == 0 else out
 
 
-def _open_uniform(gen: np.random.Generator, size) -> np.ndarray:
-    # 53-bit uniforms shifted half a step off the endpoints, so the
-    # inverse CDF below never sees 0 or 1.
-    k = gen.integers(0, 1 << 53, size=size, dtype=np.int64)
-    return (k.astype(np.float64) + 0.5) * 2.0**-53
-
-
-def sample_normal(stream: RandomStream, mu, sigma, n):
-    """Draw ``n`` i.i.d. values from N(mu, sigma^2) by inverse CDF.
-
-    One uniform is consumed per draw, which keeps substream accounting
-    exact.  ``mu`` and ``sigma`` may be scalars or arrays broadcastable
-    against the requested shape.
-    """
-    if np.any(np.asarray(sigma) <= 0):
-        raise ValueError("sigma must be positive")
-    if np.isscalar(n) and n < 1:
-        raise ValueError("n must be at least 1")
-    gen = stream.generator()
-    z = ndtri(_open_uniform(gen, n))
-    return np.asarray(mu) + np.asarray(sigma) * z
-
-
-def sample_binomial(stream: RandomStream, n, p, size=None):
-    """Binomial(n, p) counts on the given stream.
-
-    Returns a scalar int when ``size`` is None and both arguments are
-    scalars, otherwise an integer array.
-    """
-    p_arr = np.asarray(p, dtype=np.float64)
-    if np.any(p_arr < 0.0) or np.any(p_arr > 1.0):
-        raise ValueError("p must lie in [0, 1]")
-    if np.any(np.asarray(n) < 0):
-        raise ValueError("n must be nonnegative")
-    gen = stream.generator()
-    out = gen.binomial(n, p, size=size)
-    if size is None and np.isscalar(n) and np.isscalar(p):
-        return int(out)
-    return out
-
-
-def sample_beta(stream: RandomStream, a, b, size=None):
-    """Beta(a, b) draws in (0, 1) on the given stream."""
-    if np.any(np.asarray(a) <= 0) or np.any(np.asarray(b) <= 0):
-        raise ValueError("beta shape parameters must be positive")
-    gen = stream.generator()
-    out = gen.beta(a, b, size=size)
-    if size is None and np.isscalar(a) and np.isscalar(b):
-        return float(out)
-    return out
-
-
 def beta_from_moments(mean, variance):
     """Shape parameters (a, b) of the Beta law with the given moments.
 
@@ -171,17 +113,6 @@ def summarize(sample) -> SampleSummary:
         mle_sd=float(np.sqrt(ss / n)),
         unbiased_sd=float(np.sqrt(ss / (n - 1))),
     )
-
-
-def summarize_rows(samples: np.ndarray):
-    """Row-wise (mean, mle_sd, unbiased_sd) arrays for a 2-D sample block."""
-    x = np.asarray(samples, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] < 2:
-        raise ValueError("summarize_rows expects a 2-D block with >= 2 columns")
-    n = x.shape[1]
-    mean = x.mean(axis=1)
-    ss = np.sum((x - mean[:, None]) ** 2, axis=1)
-    return mean, np.sqrt(ss / n), np.sqrt(ss / (n - 1))
 
 
 def empirical_upper_quantile(values, alpha: float) -> float:

@@ -3,7 +3,9 @@
 Everything here is deliberately written from different primitives than
 the library (quadrature instead of closed-form inverses, continued
 fractions instead of scipy's incomplete-beta inversion, full sorts
-instead of partial selection) so the two routes stay independent.
+instead of partial selection) so the two routes stay independent.  The
+raw samplers at the end draw whole observations on a RandomStream, the
+route the library's exact-law summary draws shortcut.
 """
 
 import math
@@ -135,3 +137,51 @@ def cep_gauss_legendre(cp_fn, prior_t, prior_p, nodes: int = 80) -> float:
     vals = cp_fn(tt.ravel(), pp.ravel()).reshape(nodes, nodes)
     total = float(t_w.sum() * p_w.sum())
     return float(np.einsum("i,ij,j->", t_w, vals, p_w) / total)
+
+
+def sample_normal(stream, mu, sigma, n):
+    """``n`` i.i.d. N(mu, sigma^2) draws by inverse CDF of 53-bit uniforms.
+
+    A raw-sample route independent of the library's exact-law summary
+    draws (standard normal plus scaled chi-square); the uniforms sit half
+    a step off the endpoints, so the inverse CDF never sees 0 or 1.
+    """
+    from scipy.special import ndtri
+
+    if np.any(np.asarray(sigma) <= 0):
+        raise ValueError("sigma must be positive")
+    if np.isscalar(n) and n < 1:
+        raise ValueError("n must be at least 1")
+    k = stream.generator().integers(0, 1 << 53, size=n, dtype=np.int64)
+    return np.asarray(mu) + np.asarray(sigma) * ndtri((k.astype(np.float64) + 0.5) * 2.0**-53)
+
+
+def summarize_rows(samples):
+    """Row-wise (mean, MLE sd, unbiased sd) arrays of a 2-D sample block."""
+    x = np.asarray(samples, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] < 2:
+        raise ValueError("summarize_rows expects a 2-D block with >= 2 columns")
+    n = x.shape[1]
+    mean = x.mean(axis=1)
+    ss = np.sum((x - mean[:, None]) ** 2, axis=1)
+    return mean, np.sqrt(ss / n), np.sqrt(ss / (n - 1))
+
+
+def sample_binomial(stream, n, p, size=None):
+    """Binomial(n, p) counts on the stream's generator (an int when
+    ``size`` is None and both arguments are scalars)."""
+    if np.any(np.asarray(p, dtype=np.float64) < 0.0) or np.any(np.asarray(p) > 1.0):
+        raise ValueError("p must lie in [0, 1]")
+    if np.any(np.asarray(n) < 0):
+        raise ValueError("n must be nonnegative")
+    out = stream.generator().binomial(n, p, size=size)
+    return int(out) if size is None and np.isscalar(n) and np.isscalar(p) else out
+
+
+def sample_beta(stream, a, b, size=None):
+    """Beta(a, b) draws on the stream's generator (a float when ``size``
+    is None and both shapes are scalars)."""
+    if np.any(np.asarray(a) <= 0) or np.any(np.asarray(b) <= 0):
+        raise ValueError("beta shape parameters must be positive")
+    out = stream.generator().beta(a, b, size=size)
+    return float(out) if size is None and np.isscalar(a) and np.isscalar(b) else out

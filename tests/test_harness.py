@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from deeptest import cli, harness, pipeline
 from deeptest.harness import (
@@ -44,7 +45,7 @@ from deeptest.harness import (
 from deeptest.nnet import HEAD_CLASSIFIER, HEAD_REGRESSOR, NetworkSpec, TrainConfig
 from deeptest.pipeline import CandidatePool
 from deeptest.scenarios import adaptive_scenario, behrens_fisher_scenario, known_sigma_scenario
-from deeptest.ssr import DesignParams, derive_capped_table, simulate_trials
+from deeptest.ssr import DesignParams, TrialBatch, derive_capped_table, simulate_trials
 from deeptest.streams import RandomStream
 
 TINY_DESIGN = DesignParams(
@@ -317,6 +318,59 @@ def test_removed_design_key_cep_mc_iters_is_named(tmp_path):
     doc["design"]["cep_mc_iters"] = 2000
     with pytest.raises(ValueError, match="'cep_mc_iters' was removed"):
         config_from_dict(doc)
+
+
+def _write_cfg(path, doc) -> Path:
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    return path
+
+
+def _musec_doc() -> dict:
+    return yaml.safe_load(packaged_config("musec.cfg").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "section", ["top level", "scenario", "sizes", "first_fold", "second_fold", "design"]
+)
+def test_config_unknown_key_names_section_and_key(tmp_path, section):
+    doc = _musec_doc()
+    (doc if section == "top level" else doc[section])["droput"] = 0.1
+    with pytest.raises(ValueError, match=f"config section '{section}': unknown key 'droput'"):
+        load_config(_write_cfg(tmp_path / "typo.cfg", doc))
+
+
+def test_config_scenario_keys_follow_the_family(tmp_path):
+    # a key of another family is unknown to this one
+    doc = _musec_doc()
+    doc["scenario"]["sigma_grid"] = [1.0, 2.0]
+    with pytest.raises(ValueError, match="'scenario': unknown key 'sigma_grid'"):
+        load_config(_write_cfg(tmp_path / "foreign.cfg", doc))
+
+
+def test_cli_rejects_misspelt_keys(tmp_path, capsys):
+    doc = _musec_doc()
+    doc["design"]["gama"] = doc["design"].pop("gamma")
+    code = cli.main(["train", "--config", str(_write_cfg(tmp_path / "gama.cfg", doc))])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("[cli] config section 'design': unknown key 'gama'")
+    # a misspelt comparators list would otherwise run with no comparators
+    doc = _musec_doc()
+    doc["comparator"] = doc.pop("comparators")
+    code = cli.main(["train", "--config", str(_write_cfg(tmp_path / "cmp.cfg", doc))])
+    assert code == 1
+    assert "unknown key 'comparator'" in capsys.readouterr().err
+
+
+def test_config_alpha_sets_training_alternatives(tmp_path):
+    text = packaged_config("table6.cfg").read_text(encoding="utf-8")
+    (default,) = load_config(packaged_config("table6.cfg"))
+    strict = tmp_path / "strict.cfg"
+    strict.write_text(text.replace("alpha: 0.05", "alpha: 0.025"), encoding="utf-8")
+    (config,) = load_config(strict)
+    # Welch alternative at 60% power, sigma_p = sigma_t = 0.8, n = 100
+    assert default.scenario.alt_params[0] == pytest.approx(0.2148, abs=1e-4)
+    assert config.scenario.alt_params[0] == pytest.approx(0.2504, abs=1e-4)
 
 
 # ----------------------------------------------------------------- results
@@ -714,6 +768,39 @@ def test_heatmap_grid_properties(adaptive_fit, tmp_path):
     assert alt_grid[2, 11] > 0.9
     reloaded = np.loadtxt(tmp_path / "null.csv", delimiter=",")
     assert np.array_equal(reloaded, null_grid)
+
+
+def test_heatmap_row_features_are_the_trial_batch_map(adaptive_fit, monkeypatch):
+    config, test, n2_table = adaptive_fit
+    seen = []
+
+    def recording(test, stat, crit):
+        seen.append((stat, crit))
+        return decide_batch(test, stat, crit)
+
+    decide_batch = pipeline.decide_batch
+    monkeypatch.setattr(pipeline, "decide_batch", recording)
+    n1, reps, x_p1 = TINY_DESIGN.n1, 50, 4
+    stream = RandomStream(seed=93)
+    row = harness._heatmap_row(test, TINY_DESIGN, n2_table, 0.3, 0.5, reps, x_p1, stream)
+    # replay the row's draws: stage-2 counts cell by cell, placebo first
+    gen = stream.generator()
+    cells = []
+    for x_t1 in range(n1 + 1):
+        n2 = int(n2_table[x_p1, x_t1])
+        cells.append((x_t1, n2, gen.binomial(n2, 0.3, size=reps), gen.binomial(n2, 0.5, size=reps)))
+    batch = TrialBatch(
+        x_p1=np.full((n1 + 1) * reps, x_p1),
+        x_t1=np.repeat([c[0] for c in cells], reps),
+        n2=np.repeat([c[1] for c in cells], reps),
+        x_p2=np.concatenate([c[2] for c in cells]),
+        x_t2=np.concatenate([c[3] for c in cells]),
+    )
+    ((stat, crit),) = seen
+    assert np.array_equal(stat, batch.statistic_features(n1))
+    assert np.array_equal(crit, batch.pooled_stage1_rate(n1)[:, None])
+    hits = decide_batch(test, stat, crit)
+    assert np.array_equal(row, hits.reshape(n1 + 1, reps).mean(axis=1))
 
 
 def test_heatmap_requires_adaptive():

@@ -29,14 +29,15 @@ from deeptest.scenarios import (
     behrens_fisher_scenario,
     gen_critical_inputs,
     gen_null_features,
-    gen_simple_known,
     generate_training_data,
     known_sigma_scenario,
     unknown_sigma_scenario,
 )
 from deeptest.ssr import DesignParams, TrialPath, n2_lookup_table, simulate_trials
-from deeptest.stats import normal_quantile, summarize_rows
+from deeptest.stats import normal_quantile
 from deeptest.streams import RandomStream
+
+from oracles import summarize_rows
 
 ROOT = RandomStream(seed=4242)
 
@@ -69,7 +70,7 @@ def known_fit():
         mu0=0.0, mu1=KNOWN_MU1, sigma=KNOWN_SIGMA, n=KNOWN_N, b0=20_000, b1=20_000, b_prime=50_000
     )
     stream = ROOT.child(1)
-    data = gen_simple_known(spec, stream.child(0))
+    data = generate_training_data(spec, stream.child(0))
     config = TrainConfig(epochs=10, batch_size=500)
     net, report = pipeline.fit_statistic_net(
         data, pipeline.first_fold_pool(1), config, stream.child(1)
@@ -448,7 +449,7 @@ def test_label_flipped_fit_is_decreasing():
     spec = known_sigma_scenario(
         mu0=0.0, mu1=KNOWN_MU1, sigma=KNOWN_SIGMA, n=KNOWN_N, b0=4_000, b1=4_000, b_prime=1_000
     )
-    data = gen_simple_known(spec, ROOT.child(20))
+    data = generate_training_data(spec, ROOT.child(20))
     flipped = (data.features, 1.0 - data.labels)
     pool = pipeline.CandidatePool(specs=(NetworkSpec(input_dim=1, hidden_layers=(10, 10)),))
     net, _ = pipeline.fit_statistic_net(

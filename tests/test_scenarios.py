@@ -2,17 +2,19 @@
 sampling-law fidelity (including the summary-statistic shortcut against
 raw-sample simulation), grid construction, and reproducibility."""
 
-import io
+import pickle
 
 import numpy as np
 import pytest
 from scipy.special import gammaln
 from scipy.stats import ks_2samp
 
+from deeptest import pipeline
 from deeptest import scenarios as sc
-from deeptest.ssr import DesignParams, n2_lookup_table
-from deeptest.stats import sample_normal, summarize_rows
+from deeptest.ssr import DesignParams, TrialBatch, TrialPath, n2_lookup_table, simulate_trials
 from deeptest.streams import RandomStream
+
+from oracles import sample_normal, summarize_rows
 
 
 def mle_sd_expectation(sigma: float, n: int) -> float:
@@ -75,42 +77,12 @@ def test_dataset_validation():
         sc.Dataset(features=bad, labels=np.zeros(3), feature_names=("a",))
 
 
-def test_dataset_checksum_shuffle_invariant():
-    gen = RandomStream(seed=5).generator()
-    feats = gen.normal(size=(50, 2))
-    labels = (gen.random(50) < 0.5).astype(float)
-    d1 = sc.Dataset(features=feats, labels=labels, feature_names=("a", "b"))
-    perm = gen.permutation(50)
-    d2 = sc.Dataset(features=feats[perm], labels=labels[perm], feature_names=("a", "b"))
-    assert d1.row_checksum() == d2.row_checksum()
-    # breaking the pairing changes the multiset
-    d3 = sc.Dataset(features=feats, labels=labels[perm], feature_names=("a", "b"))
-    assert d1.row_checksum() != d3.row_checksum()
-
-
-def test_dataset_csv_roundtrip_exact():
-    spec = sc.known_sigma_scenario(0.0, 0.414, 1.0, 50, 200, 200, 10)
-    ds = sc.gen_simple_known(spec, RandomStream(seed=21))
-    buf = io.StringIO()
-    ds.to_csv(buf)
-    buf.seek(0)
-    back = sc.Dataset.from_csv(buf)
-    assert back.feature_names == ds.feature_names
-    assert np.array_equal(back.features, ds.features)
-    assert np.array_equal(back.labels, ds.labels)
-
-
-def test_dataset_csv_rejects_missing_label_column():
-    with pytest.raises(ValueError):
-        sc.Dataset.from_csv(io.StringIO("a,b\n1.0,2.0\n"))
-
-
 # ------------------------------------------------------------- known sigma
 
 
 def test_known_sizes_and_class_counts():
     spec = sc.known_sigma_scenario(0.0, 0.414, 1.0, 50, 1000, 1000, 10)
-    ds = sc.gen_simple_known(spec, RandomStream(seed=22))
+    ds = sc.generate_training_data(spec, RandomStream(seed=22))
     assert len(ds) == 2000
     assert ds.features.shape == (2000, 1)
     assert int(ds.labels.sum()) == 1000
@@ -120,14 +92,14 @@ def test_known_sizes_and_class_counts():
 def test_known_alt_feature_mean_anchor():
     # [DERIVED] sampling distribution of the mean: 0.414 +- 0.02 band
     spec = sc.known_sigma_scenario(0.0, 0.414, 1.0, 50, 1000, 1000, 10)
-    ds = sc.gen_simple_known(spec, RandomStream(seed=23))
-    assert abs(float(ds.class_slice(1.0).mean()) - 0.414) <= 0.02
-    assert abs(float(ds.class_slice(0.0).mean())) <= 0.02
+    ds = sc.generate_training_data(spec, RandomStream(seed=23))
+    assert abs(float(ds.features[ds.labels == 1.0].mean()) - 0.414) <= 0.02
+    assert abs(float(ds.features[ds.labels == 0.0].mean())) <= 0.02
 
 
 def test_known_null_only():
     spec = sc.known_sigma_scenario(0.0, 0.414, 1.0, 50, 500, 0, 10)
-    ds = sc.gen_simple_known(spec, RandomStream(seed=24))
+    ds = sc.generate_training_data(spec, RandomStream(seed=24))
     assert np.all(ds.labels == 0.0)
 
 
@@ -139,16 +111,17 @@ def test_known_equal_means_indistinguishable():
     root = RandomStream(seed=25)
     below = 0
     for rep in range(20):
-        ds = sc.gen_simple_known(spec, root.child(rep))
-        stat = ks_2samp(ds.class_slice(0.0)[:, 0], ds.class_slice(1.0)[:, 0]).statistic
+        ds = sc.generate_training_data(spec, root.child(rep))
+        null, alt = ds.features[ds.labels == 0.0], ds.features[ds.labels == 1.0]
+        stat = ks_2samp(null[:, 0], alt[:, 0]).statistic
         below += stat < crit
     assert below >= 18
 
 
 def test_known_regeneration_bit_identical():
     spec = sc.known_sigma_scenario(0.0, 0.414, 1.0, 50, 300, 300, 10)
-    a = sc.gen_simple_known(spec, RandomStream(seed=26))
-    b = sc.gen_simple_known(spec, RandomStream(seed=26))
+    a = sc.generate_training_data(spec, RandomStream(seed=26))
+    b = sc.generate_training_data(spec, RandomStream(seed=26))
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.labels, b.labels)
 
@@ -160,7 +133,7 @@ def test_unknown_sizes_exact():
     spec = sc.unknown_sigma_scenario(
         0.0, [0.6 + 0.2 * i for i in range(10)], n=100, b0=200, b1=300, l=100, b_prime=10
     )
-    ds = sc.gen_simple_unknown(spec, RandomStream(seed=27))
+    ds = sc.generate_training_data(spec, RandomStream(seed=27))
     assert len(ds) == 10 * 500
     assert ds.features.shape == (5000, 2)
     assert int(ds.labels.sum()) == 10 * 300
@@ -179,7 +152,7 @@ def test_unknown_mle_sd_bias_anchor():
         n=100,
         counts=sc.DatasetCounts(b0=50_000, b1=0, a=1, l=2, b_prime=1),
     )
-    ds = sc.gen_simple_unknown(spec, RandomStream(seed=28))
+    ds = sc.generate_training_data(spec, RandomStream(seed=28))
     got = float(ds.features[:, 1].mean())
     exact = mle_sd_expectation(1.0, 100)
     # se of the sd estimate ~ sigma/sqrt(2n)/sqrt(B) ~ 3.2e-4
@@ -199,7 +172,7 @@ def test_unknown_shortcut_matches_raw_sampling_law():
         n=n,
         counts=sc.DatasetCounts(b0=reps, b1=0, a=1, l=2, b_prime=1),
     )
-    ds = sc.gen_simple_unknown(spec, RandomStream(seed=29))
+    ds = sc.generate_training_data(spec, RandomStream(seed=29))
     raw = sample_normal(RandomStream(seed=30), 0.2, 1.3, n * reps).reshape(reps, n)
     means, mle_sds, _ = summarize_rows(raw)
     assert ks_2samp(ds.features[:, 0], means).pvalue > 1e-3
@@ -208,8 +181,8 @@ def test_unknown_shortcut_matches_raw_sampling_law():
 
 def test_unknown_regeneration_bit_identical():
     spec = sc.unknown_sigma_scenario(0.0, [1.0, 2.0], n=100, b0=100, b1=100, l=10, b_prime=5)
-    a = sc.gen_simple_unknown(spec, RandomStream(seed=31))
-    b = sc.gen_simple_unknown(spec, RandomStream(seed=31))
+    a = sc.generate_training_data(spec, RandomStream(seed=31))
+    b = sc.generate_training_data(spec, RandomStream(seed=31))
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.labels, b.labels)
 
@@ -240,7 +213,7 @@ def test_bf_null_diff_centered():
     spec = sc.behrens_fisher_scenario(
         0.0, [0.8, 1.0, 1.2], [0.8], n=100, b0=2000, b1=0, l=9, b_prime=5
     )
-    ds = sc.gen_behrens_fisher(spec, RandomStream(seed=32))
+    ds = sc.generate_training_data(spec, RandomStream(seed=32))
     assert abs(float(ds.features[:, 0].mean())) <= 0.002
 
 
@@ -253,7 +226,7 @@ def test_bf_sd_features_track_pair():
         n=100,
         counts=sc.DatasetCounts(b0=20_000, b1=0, a=1, l=4, b_prime=1),
     )
-    ds = sc.gen_behrens_fisher(spec, RandomStream(seed=33))
+    ds = sc.generate_training_data(spec, RandomStream(seed=33))
     sd_p = float(ds.features[:, 1].mean())
     sd_t = float(ds.features[:, 2].mean())
     assert abs(sd_p - 0.8) <= 0.01 and abs(sd_t - 1.2) <= 0.01
@@ -265,7 +238,7 @@ def test_bf_alt_diff_tracks_effect():
     spec = sc.behrens_fisher_scenario(
         0.5, [0.95, 1.1], [0.8], n=100, b0=0, b1=5000, l=4, b_prime=5
     )
-    ds = sc.gen_behrens_fisher(spec, RandomStream(seed=34))
+    ds = sc.generate_training_data(spec, RandomStream(seed=34))
     effects = np.array(spec.alt_params) - 0.5
     got = float(ds.features[:, 0].mean())
     assert abs(got - effects.mean()) <= 0.01
@@ -275,8 +248,8 @@ def test_bf_regeneration_bit_identical():
     spec = sc.behrens_fisher_scenario(
         0.0, [0.9, 1.1], [0.8], n=50, b0=100, b1=100, l=4, b_prime=5
     )
-    a = sc.gen_behrens_fisher(spec, RandomStream(seed=35))
-    b = sc.gen_behrens_fisher(spec, RandomStream(seed=35))
+    a = sc.generate_training_data(spec, RandomStream(seed=35))
+    b = sc.generate_training_data(spec, RandomStream(seed=35))
     assert np.array_equal(a.features, b.features)
 
 
@@ -288,7 +261,9 @@ def test_adaptive_sizes_and_ranges(musec_table):
         [0.20, 0.27, 0.35], n1=85, b0=500, b1=500, l=100, b_prime=10
     )
     design = DesignParams()
-    ds = sc.gen_adaptive(spec, design, RandomStream(seed=36), n2_table=musec_table)
+    ds = sc.generate_training_data(
+        spec, RandomStream(seed=36), design=design, n2_table=musec_table
+    )
     assert len(ds) == 3 * 1000
     assert ds.features.shape == (3000, 3)
     assert int(ds.labels.sum()) == 1500
@@ -300,17 +275,23 @@ def test_adaptive_sizes_and_ranges(musec_table):
 
 def test_adaptive_null_slice_centered(musec_table):
     spec = sc.adaptive_scenario([0.2, 0.27, 0.35], n1=85, b0=500, b1=500, l=100, b_prime=10)
-    ds = sc.gen_adaptive(spec, DesignParams(), RandomStream(seed=37), n2_table=musec_table)
-    null_d1 = ds.class_slice(0.0)[:, 0]
+    ds = sc.generate_training_data(
+        spec, RandomStream(seed=37), design=DesignParams(), n2_table=musec_table
+    )
+    null_d1 = ds.features[ds.labels == 0.0][:, 0]
     assert abs(float(null_d1.mean())) <= 0.007
-    alt_d1 = ds.class_slice(1.0)[:, 0]
+    alt_d1 = ds.features[ds.labels == 1.0][:, 0]
     assert float(alt_d1.mean()) > 0.05
 
 
 def test_adaptive_regeneration_bit_identical(musec_table):
     spec = sc.adaptive_scenario([0.27], n1=85, b0=200, b1=200, l=100, b_prime=10)
-    a = sc.gen_adaptive(spec, DesignParams(), RandomStream(seed=38), n2_table=musec_table)
-    b = sc.gen_adaptive(spec, DesignParams(), RandomStream(seed=38), n2_table=musec_table)
+    a, b = (
+        sc.generate_training_data(
+            spec, RandomStream(seed=38), design=DesignParams(), n2_table=musec_table
+        )
+        for _ in range(2)
+    )
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.labels, b.labels)
 
@@ -325,11 +306,13 @@ def test_adaptive_internal_table_deterministic():
         n=12,
         counts=sc.DatasetCounts(b0=100, b1=100, a=1, l=10, b_prime=10),
     )
-    a = sc.gen_adaptive(spec, design, RandomStream(seed=39))
-    b = sc.gen_adaptive(spec, design, RandomStream(seed=39))
+    a = sc.generate_training_data(spec, RandomStream(seed=39), design=design)
+    b = sc.generate_training_data(spec, RandomStream(seed=39), design=design)
     assert np.array_equal(a.features, b.features)
     # the internal table is the design's seed-free table
-    c = sc.gen_adaptive(spec, design, RandomStream(seed=39), n2_table=n2_lookup_table(design))
+    c = sc.generate_training_data(
+        spec, RandomStream(seed=39), design=design, n2_table=n2_lookup_table(design)
+    )
     assert np.array_equal(a.features, c.features)
 
 
@@ -464,3 +447,87 @@ def test_null_features_deterministic():
     a = sc.gen_null_features(spec, 1.2, 500, RandomStream(seed=54))
     b = sc.gen_null_features(spec, 1.2, 500, RandomStream(seed=54))
     assert np.array_equal(a, b)
+
+
+# ----------------------------------------------------------- family records
+
+
+def test_registry_covers_every_kind():
+    kinds = (sc.KIND_KNOWN, sc.KIND_UNKNOWN, sc.KIND_BEHRENS_FISHER, sc.KIND_ADAPTIVE)
+    assert set(sc.FAMILIES) == set(kinds)
+    for kind, family in sc.FAMILIES.items():
+        assert family.kind == kind
+        assert pickle.loads(pickle.dumps(family)) == family
+
+
+def test_known_map_parity():
+    spec = sc.known_sigma_scenario(0.1, 0.4, 2.0, 50, 10, 10, 5)
+    family = spec.family
+    stream = RandomStream(seed=60)
+    draws = sc.summary_draws(stream.generator(), 0.1, 2.0, 50, 500)
+    assert np.array_equal(
+        sc.gen_null_features(spec, None, 500, stream), family.features(spec, draws)[0]
+    )
+    sample = np.random.default_rng(60).normal(0.3, 2.0, size=50)
+    stat, crit = pipeline.observed_features(spec, sample)
+    mapped, no_crit = family.features(spec, (np.array([sample.mean()]), np.array([sample.std()])))
+    np.testing.assert_allclose(stat, mapped[0], rtol=1e-14)
+    assert crit is None and no_crit is None
+
+
+def test_unknown_map_parity():
+    spec = sc.unknown_sigma_scenario(0.0, [1.0, 2.0], n=30, b0=10, b1=10, l=10, b_prime=5)
+    family = spec.family
+    stream = RandomStream(seed=61)
+    draws = sc.summary_draws(stream.generator(), 0.0, 1.5, 30, 500)
+    assert np.array_equal(
+        sc.gen_null_features(spec, 1.5, 500, stream), family.features(spec, draws)[0]
+    )
+    sample = np.random.default_rng(61).normal(0.2, 1.3, size=30)
+    stat, crit = pipeline.observed_features(spec, sample)
+    mapped, mapped_crit = family.features(
+        spec, (np.array([sample.mean()]), np.array([sample.std()]))
+    )
+    np.testing.assert_allclose(stat, mapped[0], rtol=1e-14)
+    np.testing.assert_allclose(crit, mapped_crit[0], rtol=1e-14)
+    np.testing.assert_allclose(crit, [sample.std(ddof=1)], rtol=1e-14)
+
+
+def test_behrens_fisher_map_parity():
+    spec = sc.behrens_fisher_scenario(
+        0.2, [0.8, 1.2], [0.8], n=30, b0=10, b1=10, l=4, b_prime=5
+    )
+    family = spec.family
+    stream = RandomStream(seed=62)
+    gen = stream.generator()
+    placebo = sc.summary_draws(gen, 0.2, 0.9, 30, 500)
+    treatment = sc.summary_draws(gen, 0.2, 1.15, 30, 500)
+    assert np.array_equal(
+        sc.gen_null_features(spec, (0.9, 1.15), 500, stream),
+        family.features(spec, placebo + treatment)[0],
+    )
+    rng = np.random.default_rng(62)
+    samples = (rng.normal(0.2, 0.9, size=30), rng.normal(0.7, 1.15, size=30))
+    stat, crit = pipeline.observed_features(spec, samples)
+    summaries = tuple(np.array([f(x)]) for x in samples for f in (np.mean, np.std))
+    mapped, mapped_crit = family.features(spec, summaries)
+    np.testing.assert_allclose(stat, mapped[0], rtol=1e-13)
+    np.testing.assert_allclose(crit, mapped_crit[0], rtol=1e-14)
+    np.testing.assert_allclose(crit, [x.std(ddof=1) for x in samples], rtol=1e-14)
+
+
+def test_adaptive_map_parity(musec_table):
+    spec = sc.adaptive_scenario([0.27], n1=85, b0=10, b1=10, l=100, b_prime=5)
+    family = spec.family
+    design = DesignParams()
+    stream = RandomStream(seed=63)
+    batch = simulate_trials(0.27, 0.27, design, 500, stream, musec_table)
+    feats = sc.gen_null_features(spec, 0.27, 500, stream, design=design, n2_table=musec_table)
+    assert np.array_equal(feats, family.features(spec, batch)[0])
+    path = TrialPath(x_p1=20, x_t1=31, n2=int(musec_table[20, 31]), x_p2=60, x_t2=90)
+    stat, crit = pipeline.observed_features(spec, path)
+    one = TrialBatch(*(np.array([v]) for v in (20, 31, path.n2, 60, 90)))
+    mapped, mapped_crit = family.features(spec, one)
+    assert np.array_equal(stat, mapped[0]) and np.array_equal(crit, mapped_crit[0])
+    assert np.array_equal(stat, [11 / 85, 30 / path.n2, path.n2])
+    assert np.array_equal(crit, [51 / 170])

@@ -6,19 +6,19 @@ from deeptest.stats import (
     empirical_upper_quantile,
     normal_cdf,
     normal_quantile,
-    sample_beta,
-    sample_binomial,
-    sample_normal,
     student_t_quantile,
     summarize,
-    summarize_rows,
 )
 from deeptest.streams import RandomStream
 
 from oracles import (
     mc_margin,
     normal_quantile_quadrature,
+    sample_beta,
+    sample_binomial,
+    sample_normal,
     student_t_cdf_cf,
+    summarize_rows,
     upper_quantile_by_sort,
 )
 

@@ -49,7 +49,7 @@ from .scenarios import (
     known_sigma_scenario,
     unknown_sigma_scenario,
 )
-from .ssr import DesignParams, TrialBatch, TrialPath, n2_lookup_table, simulate_trial
+from .ssr import DesignParams, TrialBatch, TrialPath, n2_lookup_table
 from .pipeline import (
     CandidatePool,
     ConstantCutoff,
@@ -107,7 +107,6 @@ __all__ = [
     "TrialBatch",
     "TrialPath",
     "n2_lookup_table",
-    "simulate_trial",
     "CandidatePool",
     "ConstantCutoff",
     "FittedTest",

@@ -1,25 +1,19 @@
 """Analytic comparator tests and the effect-size solvers behind the grids.
 
 All tests are one-sided at level alpha, rejecting for large positive
-statistics.  Batch variants operate on arrays of sample summaries so the
-validation Monte Carlo can score a million replicates without Python
-loops; they apply exactly the same formulas as the scalar operations.
+statistics.  Each test is one batch function over arrays of sample
+summaries, so the validation Monte Carlo scores a million replicates
+without Python loops; a single sample is a batch of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .stats import normal_cdf, normal_quantile, student_t_quantile, summarize
+from .stats import normal_cdf, normal_quantile, student_t_quantile
 
 __all__ = [
-    "TestResult",
-    "z_test",
     "z_test_mu1_for_power",
-    "t_test_one_sample",
-    "welch_t_test",
     "welch_mu_t_for_power",
     "z_decisions",
     "t_decisions",
@@ -28,43 +22,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TestResult:
-    statistic: float
-    threshold: float
-    reject: bool
-
-
-def _result(statistic: float, threshold: float) -> TestResult:
-    return TestResult(statistic=statistic, threshold=threshold, reject=statistic > threshold)
-
-
-def z_test(sample, mu0: float, sigma_known: float, alpha: float) -> TestResult:
-    """One-sided z-test with known scale.
-
-    statistic = (mean - mu0) * sqrt(n) / sigma_known, threshold z_{1-a}.
-    """
-    if sigma_known <= 0:
-        raise ValueError("sigma_known must be positive")
-    x = np.asarray(sample, dtype=np.float64)
-    stat = float((x.mean() - mu0) * np.sqrt(x.size) / sigma_known)
-    return _result(stat, normal_quantile(1.0 - alpha))
-
-
 def z_test_mu1_for_power(mu0: float, sigma: float, n: int, alpha: float, power: float) -> float:
     """Alternative mean at which the z-test attains the target power."""
     if sigma <= 0 or n < 1:
         raise ValueError("sigma must be positive and n >= 1")
     return mu0 + sigma * (normal_quantile(1.0 - alpha) + normal_quantile(power)) / np.sqrt(n)
-
-
-def t_test_one_sample(sample, mu0: float, alpha: float) -> TestResult:
-    """One-sided one-sample t-test (unbiased scale, n-1 df)."""
-    s = summarize(sample)
-    if s.unbiased_sd == 0.0:
-        raise ValueError("degenerate sample: zero variance")
-    stat = (s.mean - mu0) * np.sqrt(s.n) / s.unbiased_sd
-    return _result(float(stat), student_t_quantile(1.0 - alpha, s.n - 1))
 
 
 def welch_statistic(mean_p, var_p, n_p, mean_t, var_t, n_t):
@@ -79,18 +41,6 @@ def welch_statistic(mean_p, var_p, n_p, mean_t, var_t, n_t):
         (var_p / n_p) ** 2 / (n_p - 1) + (var_t / n_t) ** 2 / (n_t - 1)
     )
     return stat, df
-
-
-def welch_t_test(sample_p, sample_t, alpha: float) -> TestResult:
-    """One-sided Welch approximate t-test of mean(t) > mean(p)."""
-    sp = summarize(sample_p)
-    st = summarize(sample_t)
-    if sp.unbiased_sd == 0.0 and st.unbiased_sd == 0.0:
-        raise ValueError("degenerate samples: both variances are zero")
-    stat, df = welch_statistic(
-        sp.mean, sp.unbiased_sd**2, sp.n, st.mean, st.unbiased_sd**2, st.n
-    )
-    return _result(float(stat), student_t_quantile(1.0 - alpha, float(df)))
 
 
 def welch_mu_t_for_power(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 
@@ -165,7 +165,7 @@ def _cmd_run(harness, args) -> int:
 
 
 def _cmd_simulate_trial(harness, args) -> int:
-    from .ssr import DesignParams, simulate_trial
+    from .ssr import DesignParams, TrialPath, n2_lookup_table, simulate_trials
     from .streams import RandomStream
 
     design = DesignParams()
@@ -174,7 +174,10 @@ def _cmd_simulate_trial(harness, args) -> int:
         if len(configs) != 1 or configs[0].design is None:
             raise ValueError("config must hold one adaptive experiment")
         design = configs[0].design
-    path = simulate_trial(args.pi_p, args.pi_t, design, RandomStream(seed=args.seed))
+    batch = simulate_trials(
+        args.pi_p, args.pi_t, design, 1, RandomStream(seed=args.seed), n2_lookup_table(design)
+    )
+    path = TrialPath(*(int(getattr(batch, field.name)[0]) for field in fields(TrialPath)))
     print(json.dumps(asdict(path), sort_keys=True))
     return 0
 

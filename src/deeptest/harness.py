@@ -111,7 +111,7 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS
 
 # modules whose source salts each cached artifact's key
 _TABLE_SOURCES = ("ssr", "stats")
-_BUNDLE_SOURCES = ("ssr", "stats", "streams", "scenarios", "nnet", "pipeline")
+_BUNDLE_SOURCES = ("ssr", "stats", "streams", "scenarios", "nnet", "pipeline", "harness")
 
 METRIC_TYPE_I = "type_i"
 METRIC_POWER = "power"
@@ -584,10 +584,16 @@ def _source_digest(modules: tuple) -> str:
     return digest.hexdigest()
 
 
+def _blas_threads() -> dict:
+    """The BLAS thread settings, which change the bits of a matmul."""
+    return {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+
+
 def _design_key(design: DesignParams) -> dict:
     return {
         "kind": "n2-table",
         "source": _source_digest(_TABLE_SOURCES),
+        "blas_threads": _blas_threads(),
         "n1": design.n1,
         "n2_min": design.n2_min,
         "n2_max": design.n2_max,
@@ -672,11 +678,11 @@ def fit_test(config: ExperimentConfig, workers: int = 1, cache=None, mapper=None
 
     Returns (FittedTest, reassessment table or None).  Runs
     train_statistic then calibrate_statistic.  With a cache, the
-    finished bundle is stored under the fit-relevant config fields and a
-    digest of the fitting code, and reloaded on identical reruns.  Both
-    candidate pools and the critical labels share one worker pool: the
-    caller's ``mapper`` (from worker_pool) if given, else one of
-    ``workers`` processes.
+    finished bundle is stored under the fit-relevant config fields, a
+    digest of the fitting code and the BLAS thread settings, and
+    reloaded on identical reruns.  Both candidate pools and the critical
+    labels share one worker pool: the caller's ``mapper`` (from
+    worker_pool) if given, else one of ``workers`` processes.
     """
     with _stage("generate"):
         n2_table = _design_table(config, cache)
@@ -688,6 +694,7 @@ def fit_test(config: ExperimentConfig, workers: int = 1, cache=None, mapper=None
             bundle_key = {
                 "kind": "fitted-test",
                 "source": _source_digest(_BUNDLE_SOURCES),
+                "blas_threads": _blas_threads(),
                 "config": doc,
             }
             cached = cache.load_text(bundle_key)
@@ -867,7 +874,7 @@ def run_experiment(
                 "rows": len(table.rows),
                 "versions": _versions(),
                 "workers": workers,
-                "blas_threads": {var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
+                "blas_threads": _blas_threads(),
             }
             (out / "manifest.json").write_text(
                 json.dumps(manifest, indent=1, sort_keys=True), encoding="utf-8"

@@ -4,6 +4,8 @@ The statistic network is a logit-classifier: its sigmoid output estimates
 the posterior probability of the alternative, and its final pre-activation
 (the linear predictor) is the test statistic.  The critical-value network
 is the same machine with a linear head trained under squared error.
+Inference has one entry point, ``Network.linear_predictor`` on a batch of
+feature rows; the sigmoid appears only inside the classifier's loss.
 
 Everything is float64 and deterministic given ``TrainConfig.seed``: weight
 init, epoch shuffles, and dropout masks all come from one Philox generator.
@@ -27,7 +29,6 @@ __all__ = [
     "TrainConfig",
     "Network",
     "TrainingDivergedError",
-    "forward",
     "bce_loss",
     "mse_loss",
     "train",
@@ -137,14 +138,12 @@ class Network:
         return (x - self.shift) / self.scale
 
     def linear_predictor(self, features: np.ndarray) -> np.ndarray:
-        """Batch linear predictors (final pre-activations), inference mode."""
+        """Linear predictors (final pre-activations) of a (rows, input_dim)
+        batch, inference mode."""
         x = np.asarray(features, dtype=np.float64)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None, :]
-        if x.shape[1] != self.spec.input_dim:
+        if x.ndim != 2 or x.shape[1] != self.spec.input_dim:
             raise ValueError(
-                f"expected {self.spec.input_dim} features, got {x.shape[1]}"
+                f"expected rows of {self.spec.input_dim} features, got shape {x.shape}"
             )
         a = self._standardize(x)
         last = len(self.weights) - 1
@@ -152,28 +151,7 @@ class Network:
             a = a @ w + b
             if k < last:
                 np.maximum(a, 0.0, out=a)
-        out = a[:, 0]
-        return out[0] if squeeze else out
-
-    def output(self, features: np.ndarray):
-        """Head output: sigmoid of the predictor for classifiers."""
-        z = self.linear_predictor(features)
-        if self.spec.head == HEAD_CLASSIFIER:
-            return expit(z)
-        return z
-
-
-def forward(net: Network, features) -> tuple[float, float]:
-    """Inference-mode forward pass of one feature vector.
-
-    Returns ``(output, linear_predictor)``; for the classifier head the
-    output is the sigmoid of the linear predictor, for the linear head
-    the two coincide.
-    """
-    z = float(net.linear_predictor(np.asarray(features, dtype=np.float64)))
-    if net.spec.head == HEAD_CLASSIFIER:
-        return float(expit(z)), z
-    return z, z
+        return a[:, 0]
 
 
 def bce_loss(linear_predictors, labels) -> float:

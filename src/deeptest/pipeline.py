@@ -431,7 +431,7 @@ def fit_critical_surface(
 # ------------------------------------------------------------------ decide
 
 
-def observed_features(spec: ScenarioSpec, observed, design=None) -> tuple:
+def observed_features(spec: ScenarioSpec, observed) -> tuple:
     """Map raw observed data to (statistic input, critical input).
 
     The data's summaries go through the family's feature map, the one
@@ -453,10 +453,10 @@ def _scores(test: FittedTest, stat_features, crit_features) -> tuple:
     return stats, _statistic_values(test.critical_net, np.asarray(crit_features, dtype=np.float64))
 
 
-def decide(test: FittedTest, observed, design=None) -> Decision:
+def decide(test: FittedTest, observed) -> Decision:
     """Evaluate one observation as a one-row batch; reject when
     statistic > cutoff strictly."""
-    stat, crit = observed_features(test.scenario, observed, design)
+    stat, crit = observed_features(test.scenario, observed)
     stats, cutoffs = _scores(test, stat[None, :], None if crit is None else crit[None, :])
     statistic, cutoff = float(stats[0]), float(np.ravel(cutoffs)[0])
     return Decision(statistic=statistic, cutoff=cutoff, reject=bool(statistic > cutoff))

@@ -612,6 +612,12 @@ def _trial_sample(spec: ScenarioSpec, point: dict, reps: int, stream, design=Non
 def _trial_observe(spec: ScenarioSpec, observed) -> TrialBatch:
     if not isinstance(observed, TrialPath):
         raise ValueError("adaptive data must be a TrialPath")
+    if not (0 <= observed.x_p1 <= spec.n and 0 <= observed.x_t1 <= spec.n):
+        raise ValueError(f"stage-1 counts must lie in [0, {spec.n}]")
+    if observed.n2 < 1:
+        raise ValueError("n2 must be >= 1")
+    if not (0 <= observed.x_p2 <= observed.n2 and 0 <= observed.x_t2 <= observed.n2):
+        raise ValueError("stage-2 counts must lie in [0, n2]")
     counts = (observed.x_p1, observed.x_t1, observed.n2, observed.x_p2, observed.x_t2)
     return TrialBatch(*(np.array([count]) for count in counts))
 

@@ -10,13 +10,13 @@ trials by table lookup.
 CEP is an expectation over two Beta priors, computed by a tensor
 Gauss-Jacobi rule of QUAD_NODES nodes per prior (Golub-Welsch nodes from
 ``numpy.linalg.eigh``), so the table is a function of the design alone:
-no seed and no random draws.  ``reassess_n2`` runs the table builder's
-row code on a block of one cell, so the no-table path equals the table
-path by construction.
+no seed and no random draws.  ``_reassess_block`` is the one
+reassessment code: the table builder runs it on one x_p1 row at a time,
+and every simulated trial, a single one included, reads the table.
 
 INCTA (inverse-normal combination) and BM (pooled test at an adjusted
-level) comparators share the reassessment path, as do all reported ASN
-figures (per-group accounting: n1 + mean n2).
+level) comparators score batches of trials on the same path, as do all
+reported ASN figures (per-group accounting: n1 + mean n2).
 """
 
 from __future__ import annotations
@@ -36,14 +36,10 @@ __all__ = [
     "conditional_power",
     "beta_rule",
     "conditional_expected_power",
-    "reassess_n2",
     "n2_lookup_table",
     "derive_capped_table",
-    "simulate_trial",
     "simulate_trials",
-    "incta_decision",
     "incta_decisions",
-    "bm_decision",
     "bm_decisions",
     "calibrate_bm",
 ]
@@ -80,21 +76,13 @@ class DesignParams:
 
 @dataclass(frozen=True)
 class TrialPath:
-    """One simulated trial: stage counts and the reassessed n2."""
+    """One observed trial: stage counts and the reassessed n2."""
 
     x_p1: int
     x_t1: int
     n2: int
     x_p2: int
     x_t2: int
-
-    def validate(self, design: DesignParams) -> None:
-        if not (0 <= self.x_p1 <= design.n1 and 0 <= self.x_t1 <= design.n1):
-            raise ValueError("stage-1 counts out of range")
-        if not design.n2_min <= self.n2 <= design.n2_max:
-            raise ValueError("n2 outside design bounds")
-        if not (0 <= self.x_p2 <= self.n2 and 0 <= self.x_t2 <= self.n2):
-            raise ValueError("stage-2 counts out of range")
 
 
 @dataclass
@@ -228,9 +216,14 @@ def _stage1_rules(counts, design: DesignParams) -> tuple:
 
 
 def _reassess_block(m1: np.ndarray, t_rule: tuple, p_rule: tuple, design: DesignParams) -> np.ndarray:
-    """reassess_n2 for a block of cells that share the placebo count.
+    """Reassessed n2 of a block of cells that share the placebo count.
 
-    Each search step evaluates CEP only for the cells still searching.
+    Per cell: the smallest n2 in the design bounds with CEP >= cep_target,
+    else n2_max.  CEP is a fixed quadrature, so it is deterministic and
+    bisectable: n2_min when CEP(n2_min) reaches the target, n2_max when
+    CEP(n2_max) does not, else integer bisection; a linear scan covers
+    the (rare) cells where CEP(n2_min) > CEP(n2_max).  Each search step
+    evaluates CEP only for the cells still searching.
     """
     t_nodes, t_weights = t_rule
 
@@ -271,24 +264,6 @@ def _reassess_block(m1: np.ndarray, t_rule: tuple, p_rule: tuple, design: Design
     return out
 
 
-def reassess_n2(m1: float, stage1: tuple, design: DesignParams) -> int:
-    """Smallest n2 in the design bounds with CEP >= cep_target, else n2_max.
-
-    CEP(m1, .) is a fixed quadrature, so it is deterministic and
-    bisectable: n2_min when CEP(n2_min) reaches the target, n2_max when
-    CEP(n2_max) does not, else integer bisection; a linear scan covers
-    the (rare) case where CEP(n2_min) > CEP(n2_max).  Runs the table
-    builder's code on a block of one cell, so it equals the table entry.
-    """
-    x_p1, x_t1 = stage1
-    if not (0 <= x_p1 <= design.n1 and 0 <= x_t1 <= design.n1):
-        raise ValueError("stage-1 counts out of range")
-    t_rule = _stage1_rules([x_t1], design)
-    p_nodes, p_weights = _stage1_rules([x_p1], design)
-    m1 = np.array([m1], dtype=np.float64)
-    return int(_reassess_block(m1, t_rule, (p_nodes[0], p_weights[0]), design)[0])
-
-
 def n2_lookup_table(design: DesignParams) -> np.ndarray:
     """Reassessed n2 for every stage-1 cell (x_p1, x_t1).
 
@@ -318,36 +293,6 @@ def derive_capped_table(base_table: np.ndarray, design: DesignParams) -> np.ndar
     return np.minimum(base_table, design.n2_max)
 
 
-def simulate_trial(
-    pi_p: float,
-    pi_t: float,
-    design: DesignParams,
-    stream: RandomStream,
-    n2_table: np.ndarray | None = None,
-) -> TrialPath:
-    """Simulate one trial end to end.
-
-    When ``n2_table`` is given the reassessment is a lookup; otherwise
-    reassess_n2 computes the same entry, so the two modes are identical.
-    """
-    for rate in (pi_p, pi_t):
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError("rates must lie in [0, 1]")
-    gen = stream.generator()
-    x_p1 = int(gen.binomial(design.n1, pi_p))
-    x_t1 = int(gen.binomial(design.n1, pi_t))
-    if n2_table is not None:
-        n2 = int(n2_table[x_p1, x_t1])
-    else:
-        m1 = proportion_stat(x_p1, x_t1, design.n1)
-        n2 = reassess_n2(m1, (x_p1, x_t1), design)
-    x_p2 = int(gen.binomial(n2, pi_p))
-    x_t2 = int(gen.binomial(n2, pi_t))
-    path = TrialPath(x_p1=x_p1, x_t1=x_t1, n2=n2, x_p2=x_p2, x_t2=x_t2)
-    path.validate(design)
-    return path
-
-
 def simulate_trials(
     pi_p: float,
     pi_t: float,
@@ -371,29 +316,16 @@ def simulate_trials(
     return TrialBatch(x_p1=x_p1, x_t1=x_t1, n2=n2, x_p2=x_p2, x_t2=x_t2)
 
 
-def incta_decision(path: TrialPath, n1: int, alpha: float) -> bool:
-    """Inverse-normal combination of the stage statistics, equal weights."""
-    z1 = proportion_stat(path.x_p1, path.x_t1, n1)
-    z2 = proportion_stat(path.x_p2, path.x_t2, path.n2)
-    z = (z1 + z2) / np.sqrt(2.0)
-    return bool(z > normal_quantile(1.0 - alpha))
-
-
 def incta_decisions(batch: TrialBatch, n1: int, alpha: float) -> np.ndarray:
+    """Inverse-normal combination of the stage statistics, equal weights."""
     z1 = proportion_stat(batch.x_p1, batch.x_t1, n1)
     z2 = proportion_stat(batch.x_p2, batch.x_t2, batch.n2)
     z = (z1 + z2) / np.sqrt(2.0)
     return z > normal_quantile(1.0 - alpha)
 
 
-def bm_decision(path: TrialPath, n1: int, adjusted_alpha: float = 0.033) -> bool:
-    """Pooled-data proportion test at the adjusted nominal level."""
-    n = n1 + path.n2
-    stat = proportion_stat(path.x_p1 + path.x_p2, path.x_t1 + path.x_t2, n)
-    return bool(stat > normal_quantile(1.0 - adjusted_alpha))
-
-
 def bm_decisions(batch: TrialBatch, n1: int, adjusted_alpha: float = 0.033) -> np.ndarray:
+    """Pooled-data proportion test at the adjusted nominal level."""
     stat = _bm_stats(batch, n1)
     return stat > normal_quantile(1.0 - adjusted_alpha)
 

@@ -3,15 +3,18 @@
 Everything here is deliberately written from different primitives than
 the library (quadrature instead of closed-form inverses, continued
 fractions instead of scipy's incomplete-beta inversion, full sorts
-instead of partial selection) so the two routes stay independent.  The
-raw samplers at the end draw whole observations on a RandomStream, the
-route the library's exact-law summary draws shortcut.
+instead of partial selection, scipy p-values and plain-Python statistics
+instead of the batch decision arrays) so the two routes stay
+independent.  The raw samplers at the end draw whole observations on a
+RandomStream, the route the library's exact-law summary draws shortcut.
 """
 
 import math
+import statistics
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.stats import ttest_1samp, ttest_ind
 
 
 def phi_quadrature(z: float) -> float:
@@ -137,6 +140,51 @@ def cep_gauss_legendre(cp_fn, prior_t, prior_p, nodes: int = 80) -> float:
     vals = cp_fn(tt.ravel(), pp.ravel()).reshape(nodes, nodes)
     total = float(t_w.sum() * p_w.sum())
     return float(np.einsum("i,ij,j->", t_w, vals, p_w) / total)
+
+
+def z_statistic(sample, mu0: float, sigma: float) -> float:
+    """Known-sigma z statistic of a raw sample, in plain Python."""
+    return (statistics.fmean(sample) - mu0) / (sigma / math.sqrt(len(sample)))
+
+
+def z_test_rejects(sample, mu0: float, sigma: float, alpha: float) -> bool:
+    """One-sided z-test decision against the NormalDist upper quantile."""
+    return z_statistic(sample, mu0, sigma) > statistics.NormalDist().inv_cdf(1.0 - alpha)
+
+
+def t_test_rejects(sample, mu0: float, alpha: float) -> bool:
+    """One-sided one-sample t-test decision from scipy's p-value."""
+    return bool(ttest_1samp(sample, mu0, alternative="greater").pvalue < alpha)
+
+
+def welch_test_rejects(sample_p, sample_t, alpha: float) -> bool:
+    """One-sided Welch decision (treatment mean above placebo) from
+    scipy's p-value."""
+    test = ttest_ind(sample_t, sample_p, equal_var=False, alternative="greater")
+    return bool(test.pvalue < alpha)
+
+
+def pooled_z(x_p: int, x_t: int, n: int) -> float:
+    """Pooled two-proportion z of (treatment - placebo) counts out of n
+    per group, in plain Python; 0 when the pooled rate is 0 or 1."""
+    if x_p + x_t in (0, 2 * n):
+        return 0.0
+    rate = (x_p + x_t) / (2 * n)
+    return (x_t - x_p) / math.sqrt(2 * n * rate * (1 - rate))
+
+
+def incta_rejects(trial, n1: int, alpha: float) -> bool:
+    """Equal-weight inverse-normal combination of the two stage z's."""
+    x_p1, x_t1, n2, x_p2, x_t2 = trial
+    z = (pooled_z(x_p1, x_t1, n1) + pooled_z(x_p2, x_t2, n2)) / math.sqrt(2)
+    return z > statistics.NormalDist().inv_cdf(1.0 - alpha)
+
+
+def bm_rejects(trial, n1: int, level: float) -> bool:
+    """Pooled z of both stages' counts at the nominal level."""
+    x_p1, x_t1, n2, x_p2, x_t2 = trial
+    z = pooled_z(x_p1 + x_p2, x_t1 + x_t2, n1 + n2)
+    return z > statistics.NormalDist().inv_cdf(1.0 - level)
 
 
 def sample_normal(stream, mu, sigma, n):

@@ -485,6 +485,51 @@ def test_cached_bundle_keyed_by_source_digest(tmp_path, monkeypatch):
     assert fits == [1]
 
 
+def test_bundle_sources_cover_the_fit_path():
+    # an edit to any function that builds a bundle must move the bundle key
+    from deeptest import nnet, scenarios, ssr
+
+    fit_path = (
+        harness.train_statistic,
+        harness.calibrate_statistic,
+        scenarios.generate_training_data,
+        pipeline.fit_statistic_net,
+        pipeline.fit_critical_surface,
+        nnet.train,
+        ssr.simulate_trials,
+    )
+    for fn in fit_path:
+        assert fn.__module__.removeprefix("deeptest.") in harness._BUNDLE_SOURCES, fn.__name__
+
+
+def test_cache_keys_hold_the_blas_thread_count(tmp_path, monkeypatch):
+    # the thread count changes the bits of a matmul, so an artifact built
+    # under another count must not be served
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    config = tiny_known_config(seed=99)
+    cache = CacheStore(tmp_path)
+    harness._cached_table(TINY_DESIGN, cache)
+    fit_test(config, cache=cache)
+    builds = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            builds.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(harness, "n2_lookup_table", counted(harness.n2_lookup_table))
+    monkeypatch.setattr(harness, "generate_training_data", counted(harness.generate_training_data))
+    harness._cached_table(TINY_DESIGN, cache)
+    fit_test(config, cache=cache)
+    assert builds == []
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    harness._cached_table(TINY_DESIGN, cache)
+    fit_test(config, cache=cache)
+    assert builds == ["n2_lookup_table", "generate_training_data"]
+
+
 def test_cache_store_concurrent_writers_one_key(tmp_path):
     # every writer of one key must publish a whole file: with a shared tmp
     # name one writer renames another's half-written file, or finds its

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from deeptest.nnet import (
     HEAD_CLASSIFIER,
@@ -15,7 +16,6 @@ from deeptest.nnet import (
     _forward_train,
     _init_params,
     bce_loss,
-    forward,
     gradient_check,
     load,
     mse_loss,
@@ -69,30 +69,29 @@ class TestSpecValidation:
 class TestForward:
     def test_zero_network_outputs_half(self):
         spec = NetworkSpec(input_dim=3, hidden_layers=(4,), head=HEAD_CLASSIFIER)
-        out, lp = forward(_zero_net(spec), [0.3, -1.0, 2.0])
-        assert lp == 0.0
-        assert out == 0.5
+        lp = _zero_net(spec).linear_predictor(np.array([[0.3, -1.0, 2.0], [5.0, 0.0, -2.0]]))
+        assert lp.tolist() == [0.0, 0.0]
+        assert expit(lp).tolist() == [0.5, 0.5]
 
     def test_affine_identity_no_hidden(self):
         spec = NetworkSpec(input_dim=1, hidden_layers=(), head=HEAD_REGRESSOR)
         net = Network(
             spec=spec, weights=[np.array([[2.0]])], biases=[np.array([0.0])]
         )
-        out, lp = forward(net, [1.5])
-        assert lp == 3.0
-        assert out == 3.0
+        assert net.linear_predictor(np.array([[1.5], [-0.25]])).tolist() == [3.0, -0.5]
 
     def test_classifier_output_monotone_in_predictor(self):
         spec = NetworkSpec(input_dim=1, hidden_layers=(), head=HEAD_CLASSIFIER)
         net = Network(spec=spec, weights=[np.array([[1.0]])], biases=[np.array([0.0])])
         xs = np.linspace(-4, 4, 41)
-        outs = [forward(net, [x])[0] for x in xs]
-        assert np.all(np.diff(outs) > 0)
+        assert np.all(np.diff(expit(net.linear_predictor(xs[:, None]))) > 0)
 
     def test_dimension_mismatch(self):
         spec = NetworkSpec(input_dim=2, hidden_layers=(3,))
         with pytest.raises(ValueError):
-            forward(_zero_net(spec), [1.0, 2.0, 3.0])
+            _zero_net(spec).linear_predictor(np.array([[1.0, 2.0, 3.0]]))
+        with pytest.raises(ValueError):
+            _zero_net(spec).linear_predictor(np.array([1.0, 2.0]))
 
     def test_train_mode_without_dropout_matches_inference(self):
         spec = NetworkSpec(input_dim=2, hidden_layers=(7, 7), head=HEAD_REGRESSOR)

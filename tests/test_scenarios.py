@@ -524,10 +524,11 @@ def test_adaptive_map_parity(musec_table):
     batch = simulate_trials(0.27, 0.27, design, 500, stream, musec_table)
     feats = sc.gen_null_features(spec, 0.27, 500, stream, design=design, n2_table=musec_table)
     assert np.array_equal(feats, family.features(spec, batch)[0])
-    path = TrialPath(x_p1=20, x_t1=31, n2=int(musec_table[20, 31]), x_p2=60, x_t2=90)
+    # n2 = 21 at this cell, so the stage-2 counts stay within it
+    path = TrialPath(x_p1=20, x_t1=31, n2=int(musec_table[20, 31]), x_p2=6, x_t2=9)
     stat, crit = pipeline.observed_features(spec, path)
-    one = TrialBatch(*(np.array([v]) for v in (20, 31, path.n2, 60, 90)))
+    one = TrialBatch(*(np.array([v]) for v in (20, 31, path.n2, 6, 9)))
     mapped, mapped_crit = family.features(spec, one)
     assert np.array_equal(stat, mapped[0]) and np.array_equal(crit, mapped_crit[0])
-    assert np.array_equal(stat, [11 / 85, 30 / path.n2, path.n2])
+    assert np.array_equal(stat, [11 / 85, 3 / path.n2, path.n2])
     assert np.array_equal(crit, [51 / 170])

@@ -14,7 +14,7 @@ from deeptest import ssr
 from deeptest.stats import beta_from_moments, normal_quantile
 from deeptest.streams import RandomStream
 
-from oracles import cep_gauss_legendre
+from oracles import bm_rejects, cep_gauss_legendre, incta_rejects
 
 MUSEC = ssr.DesignParams()
 ROOT = RandomStream(seed=777)
@@ -44,14 +44,23 @@ def test_design_params_validation():
 
 
 def test_trial_path_validation():
-    good = ssr.TrialPath(x_p1=10, x_t1=20, n2=100, x_p2=30, x_t2=40)
-    good.validate(MUSEC)
-    with pytest.raises(ValueError):
-        ssr.TrialPath(x_p1=86, x_t1=20, n2=100, x_p2=30, x_t2=40).validate(MUSEC)
-    with pytest.raises(ValueError):
-        ssr.TrialPath(x_p1=10, x_t1=20, n2=20, x_p2=5, x_t2=5).validate(MUSEC)
-    with pytest.raises(ValueError):
-        ssr.TrialPath(x_p1=10, x_t1=20, n2=100, x_p2=101, x_t2=40).validate(MUSEC)
+    # an observed trial enters a decision only with counts a trial of
+    # stage-1 size n1 can produce: 0 <= x_p1, x_t1 <= n1, n2 >= 1 and
+    # 0 <= x_p2, x_t2 <= n2; the edges themselves are accepted
+    from deeptest.pipeline import observed_features
+    from deeptest.scenarios import adaptive_scenario
+
+    spec = adaptive_scenario(pi_p_grid=(0.27,), n1=MUSEC.n1, b0=10, b1=10, l=2, b_prime=10)
+    for counts in ((0, 85, 1, 0, 1), (85, 0, 340, 340, 0), (10, 20, 100, 30, 40)):
+        observed_features(spec, ssr.TrialPath(*counts))
+    for counts in (
+        (-1, 20, 100, 30, 40), (86, 20, 100, 30, 40), (10, -1, 100, 30, 40),
+        (10, 86, 100, 30, 40), (10, 20, 0, 0, 0), (10, 20, 100, -1, 40),
+        (10, 20, 100, 101, 40), (10, 20, 100, 30, -1), (10, 20, 100, 30, 101),
+        (-5, 300, 0, 7, -2),
+    ):
+        with pytest.raises(ValueError):
+            observed_features(spec, ssr.TrialPath(*counts))
 
 
 # ---------------------------------------------------------- proportion stat
@@ -240,10 +249,15 @@ def _reassess_oracle(m1, stage1, design):
     return design.n2_max
 
 
+def _table_matches_oracle(table, cells, design):
+    for stage1 in cells:
+        m1 = ssr.proportion_stat(stage1[0], stage1[1], design.n1)
+        assert table[stage1] == _reassess_oracle(m1, stage1, design), stage1
+
+
 @pytest.mark.parametrize("stage1", [(15, 45), (30, 30), (20, 38), (25, 42), (28, 37), (18, 40)])
-def test_reassess_matches_exhaustive_scan(stage1):
-    m1 = ssr.proportion_stat(stage1[0], stage1[1], MUSEC.n1)
-    assert ssr.reassess_n2(m1, stage1, MUSEC) == _reassess_oracle(m1, stage1, MUSEC)
+def test_reassess_matches_exhaustive_scan(stage1, musec_table):
+    _table_matches_oracle(musec_table, [stage1], MUSEC)
 
 
 def test_reassess_non_monotone_cells_match_exhaustive_scan():
@@ -261,35 +275,23 @@ def test_reassess_non_monotone_cells_match_exhaustive_scan():
             ssr._stage1_prior(stage1[0], design), design.alpha,
         )
         assert hi < lo < design.cep_target
-        assert ssr.reassess_n2(m1, stage1, design) == _reassess_oracle(m1, stage1, design)
+    _table_matches_oracle(ssr.n2_lookup_table(design), ((0, 3), (82, 85)), design)
 
 
-def test_reassess_extreme_cells():
+def test_reassess_extreme_cells(musec_table):
     # strongly favorable interim data floors n2; null-like data caps it
-    m1 = ssr.proportion_stat(15, 45, MUSEC.n1)
-    assert ssr.reassess_n2(m1, (15, 45), MUSEC) == MUSEC.n2_min
-    assert ssr.reassess_n2(0.0, (30, 30), MUSEC) == MUSEC.n2_max
+    assert musec_table[15, 45] == MUSEC.n2_min
+    assert musec_table[30, 30] == MUSEC.n2_max
 
 
-def test_reassess_within_bounds_random_cells():
-    gen = RandomStream(seed=55).generator()
-    for k in range(25):
-        xp, xt = int(gen.integers(0, 86)), int(gen.integers(0, 86))
-        m1 = ssr.proportion_stat(xp, xt, MUSEC.n1)
-        n2 = ssr.reassess_n2(m1, (xp, xt), MUSEC)
-        assert MUSEC.n2_min <= n2 <= MUSEC.n2_max
+def test_reassess_within_bounds_random_cells(musec_table):
+    # every cell, random ones included
+    assert np.all((MUSEC.n2_min <= musec_table) & (musec_table <= MUSEC.n2_max))
 
 
 def test_reassess_deterministic():
-    m1 = ssr.proportion_stat(22, 39, MUSEC.n1)
-    a = ssr.reassess_n2(m1, (22, 39), MUSEC)
-    b = ssr.reassess_n2(m1, (22, 39), MUSEC)
-    assert a == b
-
-
-def test_reassess_rejects_bad_stage1():
-    with pytest.raises(ValueError):
-        ssr.reassess_n2(0.0, (-1, 10), MUSEC)
+    design = ssr.DesignParams(n1=12, n2_min=5, n2_max=60, gamma=0.005)
+    assert np.array_equal(ssr.n2_lookup_table(design), ssr.n2_lookup_table(design))
 
 
 def test_reassessed_n2_nonincreasing_in_m1(musec_table):
@@ -312,20 +314,17 @@ TINY = ssr.DesignParams(n1=12, n2_min=5, n2_max=60)
 
 
 def test_lookup_table_matches_direct_reassessment():
+    # every cell of the tiny design against the exhaustive scan
     table = ssr.n2_lookup_table(TINY)
     side = TINY.n1 + 1
     assert table.shape == (side, side)
-    for xp in range(side):
-        for xt in range(side):
-            m1 = ssr.proportion_stat(xp, xt, TINY.n1)
-            assert table[xp, xt] == ssr.reassess_n2(m1, (xp, xt), TINY)
+    _table_matches_oracle(table, [(xp, xt) for xp in range(side) for xt in range(side)], TINY)
 
 
 def test_lookup_table_is_seed_free_and_matches_musec_cells(musec_table):
     assert np.array_equal(ssr.n2_lookup_table(MUSEC), musec_table)
-    for xp, xt in [(0, 0), (85, 85), (1, 5), (27, 40), (40, 27), (60, 80)]:
-        m1 = ssr.proportion_stat(xp, xt, MUSEC.n1)
-        assert musec_table[xp, xt] == ssr.reassess_n2(m1, (xp, xt), MUSEC)
+    cells = [(0, 0), (85, 85), (1, 5), (27, 40), (40, 27), (60, 80)]
+    _table_matches_oracle(musec_table, cells, MUSEC)
 
 
 def _packaged_designs():
@@ -390,38 +389,58 @@ def test_capped_table_rejects_entries_below_min():
 # ------------------------------------------------------------- simulation
 
 
-def test_simulate_trial_deterministic_and_valid():
-    a = ssr.simulate_trial(0.27, 0.35, MUSEC, ROOT.child(10))
-    b = ssr.simulate_trial(0.27, 0.35, MUSEC, ROOT.child(10))
-    assert a == b
-    a.validate(MUSEC)
+COUNTS = ("x_p1", "x_t1", "n2", "x_p2", "x_t2")
 
 
-def test_simulate_trial_zero_rates():
-    path = ssr.simulate_trial(0.0, 0.0, MUSEC, ROOT.child(11))
-    assert path.x_p1 == path.x_t1 == path.x_p2 == path.x_t2 == 0
+def _rows(batch):
+    # the batch's trials as (x_p1, x_t1, n2, x_p2, x_t2) tuples of ints
+    return list(zip(*(getattr(batch, name).tolist() for name in COUNTS)))
+
+
+def _first_trial(pi_p, pi_t, stream, table):
+    # the trial that ``deeptest simulate-trial`` prints: row 0 of a batch of one
+    return _rows(ssr.simulate_trials(pi_p, pi_t, MUSEC, 1, stream, table))[0]
+
+
+def test_simulate_trial_deterministic_and_valid(musec_table):
+    a = _first_trial(0.27, 0.35, ROOT.child(10), musec_table)
+    assert a == _first_trial(0.27, 0.35, ROOT.child(10), musec_table)
+    x_p1, x_t1, n2, x_p2, x_t2 = a
+    assert 0 <= x_p1 <= MUSEC.n1 and 0 <= x_t1 <= MUSEC.n1
+    assert MUSEC.n2_min <= n2 <= MUSEC.n2_max
+    assert 0 <= x_p2 <= n2 and 0 <= x_t2 <= n2
+
+
+def test_simulate_trial_zero_rates(musec_table):
+    x_p1, x_t1, n2, x_p2, x_t2 = _first_trial(0.0, 0.0, ROOT.child(11), musec_table)
+    assert x_p1 == x_t1 == x_p2 == x_t2 == 0
     # null-like interim data drives the reassessment to its cap
-    assert path.n2 == MUSEC.n2_max
+    assert n2 == MUSEC.n2_max
 
 
 def test_simulate_trial_table_mode_consistent(musec_table):
-    path = ssr.simulate_trial(0.27, 0.35, MUSEC, ROOT.child(12), n2_table=musec_table)
-    path.validate(MUSEC)
-    assert path.n2 == musec_table[path.x_p1, path.x_t1]
+    batch = ssr.simulate_trials(0.27, 0.35, MUSEC, 1000, ROOT.child(12), musec_table)
+    assert np.array_equal(batch.n2, musec_table[batch.x_p1, batch.x_t1])
 
 
 def test_simulate_trial_without_table_equals_table_path(musec_table):
+    # a one-trial batch draws in the order of one scalar trial (stage-1
+    # placebo, treatment, then stage 2); its n2 equals the exhaustive
+    # scan's, found without the table
     for k, (pi_p, pi_t) in enumerate([(0.27, 0.27), (0.27, 0.40), (0.1, 0.6), (0.5, 0.5)]):
-        direct = ssr.simulate_trial(pi_p, pi_t, MUSEC, ROOT.child(100 + k))
-        lookup = ssr.simulate_trial(pi_p, pi_t, MUSEC, ROOT.child(100 + k), n2_table=musec_table)
-        assert direct == lookup
+        gen = ROOT.child(100 + k).generator()
+        x_p1, x_t1 = int(gen.binomial(MUSEC.n1, pi_p)), int(gen.binomial(MUSEC.n1, pi_t))
+        m1 = ssr.proportion_stat(x_p1, x_t1, MUSEC.n1)
+        n2 = _reassess_oracle(m1, (x_p1, x_t1), MUSEC)
+        direct = (x_p1, x_t1, n2, int(gen.binomial(n2, pi_p)), int(gen.binomial(n2, pi_t)))
+        assert _first_trial(pi_p, pi_t, ROOT.child(100 + k), musec_table) == direct
 
 
-def test_simulate_trial_rejects_bad_rates():
+def test_simulate_trial_rejects_bad_rates(musec_table):
     with pytest.raises(ValueError):
-        ssr.simulate_trial(-0.1, 0.3, MUSEC, ROOT.child(13))
+        ssr.simulate_trials(-0.1, 0.3, MUSEC, 1, ROOT.child(13), musec_table)
     with pytest.raises(ValueError):
-        ssr.simulate_trial(0.3, 1.5, MUSEC, ROOT.child(13))
+        ssr.simulate_trials(0.3, 1.5, MUSEC, 1, ROOT.child(13), musec_table)
 
 
 def test_simulate_trials_deterministic(musec_table):
@@ -471,45 +490,44 @@ def test_asn_flat_across_null_rates(musec_table):
 # ------------------------------------------------------------- comparators
 
 
+# pooled rates 0 and 1 (statistic 0 by convention) and the extreme counts
+EDGE_TRIALS = ((0, 0, 21, 0, 0), (85, 85, 21, 21, 21), (0, 85, 340, 340, 0))
+
+
+def _trials(*trials):
+    # a batch of the given (x_p1, x_t1, n2, x_p2, x_t2) rows
+    return ssr.TrialBatch(*np.array(trials, dtype=np.int64).T)
+
+
 def test_incta_arithmetic():
     # [DERIVED] both stages reproduce the hand-computed statistic 1.94758,
     # so the equal-weight combination is 1.94758*sqrt(2) = 2.75429
-    path = ssr.TrialPath(x_p1=27, x_t1=40, n2=100, x_p2=27, x_t2=40)
-    assert ssr.incta_decision(path, 100, 0.05) is True
-    assert ssr.incta_decision(path, 100, 0.001) is False
+    trial = (27, 40, 100, 27, 40)
+    assert ssr.incta_decisions(_trials(trial), 100, 0.05).tolist() == [True]
+    assert ssr.incta_decisions(_trials(trial), 100, 0.001).tolist() == [False]
+    assert incta_rejects(trial, 100, 0.05) and not incta_rejects(trial, 100, 0.001)
 
 
 def test_incta_null_path_not_rejected():
-    path = ssr.TrialPath(x_p1=30, x_t1=30, n2=200, x_p2=60, x_t2=60)
-    assert ssr.incta_decision(path, 85, 0.05) is False
+    trial = (30, 30, 200, 60, 60)
+    assert ssr.incta_decisions(_trials(trial), 85, 0.05).tolist() == [False]
 
 
 def test_incta_batch_matches_scalar(musec_table):
+    # against the plain-Python oracle, row by row, at several levels
     batch = ssr.simulate_trials(0.27, 0.35, MUSEC, 500, ROOT.child(20), musec_table)
-    vec = ssr.incta_decisions(batch, MUSEC.n1, 0.05)
-    for i in range(500):
-        path = ssr.TrialPath(
-            x_p1=int(batch.x_p1[i]),
-            x_t1=int(batch.x_t1[i]),
-            n2=int(batch.n2[i]),
-            x_p2=int(batch.x_p2[i]),
-            x_t2=int(batch.x_t2[i]),
-        )
-        assert bool(vec[i]) == ssr.incta_decision(path, MUSEC.n1, 0.05)
+    batch = _trials(*_rows(batch), *EDGE_TRIALS)
+    for alpha in (0.01, 0.05, 0.2):
+        vec = ssr.incta_decisions(batch, MUSEC.n1, alpha)
+        assert vec.tolist() == [incta_rejects(row, MUSEC.n1, alpha) for row in _rows(batch)]
 
 
 def test_bm_batch_matches_scalar(musec_table):
     batch = ssr.simulate_trials(0.27, 0.35, MUSEC, 500, ROOT.child(21), musec_table)
-    vec = ssr.bm_decisions(batch, MUSEC.n1, 0.033)
-    for i in range(500):
-        path = ssr.TrialPath(
-            x_p1=int(batch.x_p1[i]),
-            x_t1=int(batch.x_t1[i]),
-            n2=int(batch.n2[i]),
-            x_p2=int(batch.x_p2[i]),
-            x_t2=int(batch.x_t2[i]),
-        )
-        assert bool(vec[i]) == ssr.bm_decision(path, MUSEC.n1, 0.033)
+    batch = _trials(*_rows(batch), *EDGE_TRIALS)
+    for level in (0.01, 0.033, 0.2):
+        vec = ssr.bm_decisions(batch, MUSEC.n1, level)
+        assert vec.tolist() == [bm_rejects(row, MUSEC.n1, level) for row in _rows(batch)]
 
 
 def test_incta_type_i_across_null_grid(musec_table):

@@ -12,14 +12,25 @@ that reproduces the benchmark tables.
 __version__ = "0.1.0"
 
 import os
+import warnings
 
 # One BLAS thread unless the environment says otherwise.  Set before the
 # first numpy import below, because OpenBLAS reads it once at load: the
 # bits of a matmul depend on the thread count, and spawned workers
 # inherit the variables, so pooled and inline fits stay identical.
-for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+for _var in _BLAS_THREAD_VARS:
     os.environ.setdefault(_var, "1")
-del _var
+_threaded = [
+    v for v in _BLAS_THREAD_VARS if os.environ[v].strip().isdigit() and int(os.environ[v]) > 1
+]
+if _threaded:
+    warnings.warn(
+        f"{', '.join(_threaded)} above 1: BLAS runs multi-threaded, so results are "
+        "not assured byte-equal across --workers",
+        RuntimeWarning,
+    )
+del _var, _threaded
 
 from .streams import RandomStream, derive_seed
 from .stats import (

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 
@@ -82,7 +82,7 @@ def _load_single_config(harness, args):
     if args.scale != 1.0:
         config = harness.scaled_config(config, args.scale)
     if args.seed is not None:
-        config = harness.with_seed(config, args.seed)
+        config = replace(config, seed=args.seed)
     return config
 
 

@@ -44,13 +44,12 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import pipeline
+from . import _BLAS_THREAD_VARS, pipeline
 from .nnet import HEAD_CLASSIFIER, HEAD_REGRESSOR, NetworkSpec, TrainConfig
 from .pipeline import (
     CandidatePool,
     ConstantCutoff,
     FittedTest,
-    _scenario_from_dict,
     _scenario_to_dict,
 )
 from .scenarios import (
@@ -74,7 +73,6 @@ __all__ = [
     "worker_pool",
     "pmap",
     "config_hash",
-    "config_from_dict",
     "config_to_dict",
     "load_config",
     "packaged_config",
@@ -105,9 +103,6 @@ _CFG_KEYS = (
     "first_fold", "second_fold", "comparators", "validation_points",
 )
 _FOLD_KEYS = ("depths", "widths", "dropout", "epochs", "batch_size", "learning_rate")
-
-# environment variables that set the BLAS thread count, recorded per run
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 # modules whose source salts each cached artifact's key
 _TABLE_SOURCES = ("ssr", "stats")
@@ -239,19 +234,6 @@ def _pool_to_dict(pool: CandidatePool) -> dict:
     }
 
 
-def _pool_from_dict(doc: dict) -> CandidatePool:
-    specs = tuple(
-        NetworkSpec(
-            input_dim=doc["input_dim"],
-            hidden_layers=tuple(c["hidden_layers"]),
-            head=doc["head"],
-            dropout_rate=c["dropout_rate"],
-        )
-        for c in doc["candidates"]
-    )
-    return CandidatePool(specs=specs)
-
-
 def _train_to_dict(config: TrainConfig) -> dict:
     return {
         "epochs": config.epochs,
@@ -259,15 +241,6 @@ def _train_to_dict(config: TrainConfig) -> dict:
         "learning_rate": config.learning_rate,
         "validation_fraction": config.validation_fraction,
     }
-
-
-def _train_from_dict(doc: dict) -> TrainConfig:
-    return TrainConfig(
-        epochs=doc["epochs"],
-        batch_size=doc["batch_size"],
-        learning_rate=doc["learning_rate"],
-        validation_fraction=doc.get("validation_fraction", 0.2),
-    )
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -300,23 +273,6 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         doc["second_pool"] = _pool_to_dict(config.second_pool)
         doc["second_train"] = _train_to_dict(config.second_train)
     return doc
-
-
-def config_from_dict(doc: dict) -> ExperimentConfig:
-    return ExperimentConfig(
-        scenario=_scenario_from_dict(doc["scenario"]),
-        first_pool=_pool_from_dict(doc["first_pool"]),
-        first_train=_train_from_dict(doc["first_train"]),
-        sizes=Sizes(**doc["sizes"]),
-        seed=doc["seed"],
-        validation_points=tuple(dict(p) for p in doc["validation_points"]),
-        design=_design_from_doc(doc["design"]) if "design" in doc else None,
-        second_pool=_pool_from_dict(doc["second_pool"]) if "second_pool" in doc else None,
-        second_train=_train_from_dict(doc["second_train"]) if "second_train" in doc else None,
-        comparators=tuple(doc.get("comparators", ())),
-        alpha=doc.get("alpha", 0.05),
-        bm_level=doc.get("bm_level", 0.033),
-    )
 
 
 def _design_from_doc(doc: dict) -> DesignParams:
@@ -354,10 +310,6 @@ def scaled_config(config: ExperimentConfig, factor: float) -> ExperimentConfig:
     )
     scenario = replace(config.scenario, counts=counts)
     return replace(config, sizes=sizes, scenario=scenario)
-
-
-def with_seed(config: ExperimentConfig, seed: int) -> ExperimentConfig:
-    return replace(config, seed=seed)
 
 
 # --------------------------------------------------------------- config I/O
@@ -593,6 +545,7 @@ def _design_key(design: DesignParams) -> dict:
     return {
         "kind": "n2-table",
         "source": _source_digest(_TABLE_SOURCES),
+        "versions": _versions(),
         "blas_threads": _blas_threads(),
         "n1": design.n1,
         "n2_min": design.n2_min,
@@ -679,10 +632,10 @@ def fit_test(config: ExperimentConfig, workers: int = 1, cache=None, mapper=None
     Returns (FittedTest, reassessment table or None).  Runs
     train_statistic then calibrate_statistic.  With a cache, the
     finished bundle is stored under the fit-relevant config fields, a
-    digest of the fitting code and the BLAS thread settings, and
-    reloaded on identical reruns.  Both candidate pools and the critical
-    labels share one worker pool: the caller's ``mapper`` (from
-    worker_pool) if given, else one of ``workers`` processes.
+    digest of the fitting code, the library versions and the BLAS thread
+    settings, and reloaded on identical reruns.  Both candidate pools and
+    the critical labels share one worker pool: the caller's ``mapper``
+    (from worker_pool) if given, else one of ``workers`` processes.
     """
     with _stage("generate"):
         n2_table = _design_table(config, cache)
@@ -694,6 +647,7 @@ def fit_test(config: ExperimentConfig, workers: int = 1, cache=None, mapper=None
             bundle_key = {
                 "kind": "fitted-test",
                 "source": _source_digest(_BUNDLE_SOURCES),
+                "versions": _versions(),
                 "blas_threads": _blas_threads(),
                 "config": doc,
             }
@@ -1332,26 +1286,26 @@ def _prefixed(rows: list, prefix: str) -> list:
     return [replace(row, point=f"{prefix},{row.point}") for row in rows]
 
 
-def _reproduce_runs(table_id: str, scale: float, seed, workers, cache, mapper) -> ResultsTable:
+def _reproduce_runs(table_id: str, scale: float, seed, cache, mapper) -> ResultsTable:
     rows = []
     for name in _EXHIBIT_FILES[table_id]:
         for config in load_config(packaged_config(name)):
             config = scaled_config(config, scale)
             if seed is not None:
-                config = with_seed(config, seed)
+                config = replace(config, seed=seed)
             label_prefix = config.scenario.family.label_prefix
             prefix = None if label_prefix is None else label_prefix(config.scenario)
-            table, _ = run_experiment(config, workers=workers, cache=cache, mapper=mapper)
+            table, _ = run_experiment(config, cache=cache, mapper=mapper)
             rows.extend(table.rows if prefix is None else _prefixed(table.rows, prefix))
     return ResultsTable(rows=rows)
 
 
-def _reproduce_table(table_id: str, scale: float, seed, workers, out_dir, cache, mapper):
+def _reproduce_table(table_id: str, scale: float, seed, out_dir, cache, mapper):
     if table_id == "T2":
         (config,) = load_config(packaged_config("musec.cfg"))
         config = scaled_config(config, scale)
         if seed is not None:
-            config = with_seed(config, seed)
+            config = replace(config, seed=seed)
         return asn_for_power(
             config,
             target_power=0.90,
@@ -1366,7 +1320,7 @@ def _reproduce_table(table_id: str, scale: float, seed, workers, out_dir, cache,
         (config,) = load_config(packaged_config("musec.cfg"))
         config = scaled_config(config, scale)
         if seed is not None:
-            config = with_seed(config, seed)
+            config = replace(config, seed=seed)
         test, n2_table = fit_test(config, cache=cache, mapper=mapper)
         stream = RandomStream(seed=config.seed).child(7)
         reps = max(200, round(10_000 * scale))
@@ -1410,7 +1364,7 @@ def _reproduce_table(table_id: str, scale: float, seed, workers, out_dir, cache,
                 )
             )
         return ResultsTable(rows=rows)
-    return _reproduce_runs(table_id, scale, seed, workers, cache, mapper)
+    return _reproduce_runs(table_id, scale, seed, cache, mapper)
 
 
 def reproduce(
@@ -1433,7 +1387,7 @@ def reproduce(
         raise ValueError("scale must lie in (0, 1]")
 
     with worker_pool(workers) as mapper:
-        table = _reproduce_table(table_id, scale, seed, workers, out_dir, cache, mapper)
+        table = _reproduce_table(table_id, scale, seed, out_dir, cache, mapper)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

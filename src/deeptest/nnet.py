@@ -32,7 +32,6 @@ __all__ = [
     "bce_loss",
     "mse_loss",
     "train",
-    "gradient_check",
     "save",
     "load",
 ]
@@ -366,96 +365,6 @@ def train(spec: NetworkSpec, data, config: TrainConfig) -> Network:
             step_buf /= denom_buf
             params -= step_buf
     return net
-
-
-def _loss_of(net: Network, x_std: np.ndarray, y: np.ndarray) -> float:
-    z, _, _ = _forward_train(net, x_std, gen=None)
-    if net.spec.head == HEAD_CLASSIFIER:
-        return bce_loss(z, y)
-    return mse_loss(z, y)
-
-
-def _loss_longdouble(weights, biases, x, y, classifier: bool) -> np.longdouble:
-    # Extended-precision forward + loss for the finite-difference probe;
-    # pure numpy so the longdouble type is preserved end to end.
-    a = x
-    last = len(weights) - 1
-    for k in range(last):
-        a = np.maximum(a @ weights[k] + biases[k], np.longdouble(0.0))
-    z = (a @ weights[last] + biases[last])[:, 0]
-    if classifier:
-        vals = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-    else:
-        vals = (z - y) ** 2
-    return vals.mean()
-
-
-def gradient_check(spec: NetworkSpec, features, label, seed: int = 1234) -> float:
-    """Max relative error between backprop and central finite differences.
-
-    Dropout is disabled; the step is 1e-6 and the normalizer is
-    |analytic| + |fd| + 1e-12.  The probe network uses positively
-    coupled, layer-scaled weights so no ReLU sits near its kink and no
-    gradient is driven to the float64 rounding floor by path
-    cancellation; parameters whose gradients are nevertheless small are
-    re-differenced in extended precision.
-    """
-    x = np.asarray(features, dtype=np.float64).reshape(1, -1)
-    y = np.asarray([label], dtype=np.float64)
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    widths = spec.widths
-    weights = [
-        gen.uniform(0.3, 1.0, size=(widths[k], widths[k + 1])) * (2.0 / widths[k])
-        for k in range(len(widths) - 1)
-    ]
-    biases = [np.full(widths[k + 1], 0.02) for k in range(len(widths) - 1)]
-    net = Network(spec=spec, weights=weights, biases=biases)
-
-    z, acts, masks = _forward_train(net, x, gen=None)
-    classifier = spec.head == HEAD_CLASSIFIER
-    if classifier:
-        dz = expit(z) - y
-    else:
-        dz = 2.0 * (z - y)
-    g_w, g_b = _backprop(net, acts, masks, dz)
-    analytic = g_w + g_b
-
-    w_ld = [w.astype(np.longdouble) for w in net.weights]
-    b_ld = [b.astype(np.longdouble) for b in net.biases]
-    x_ld = x.astype(np.longdouble)
-    y_ld = y.astype(np.longdouble)
-
-    h = 1e-6
-    h_ld = np.longdouble(h)
-    worst = 0.0
-    params = net.weights + net.biases
-    params_ld = w_ld + b_ld
-    for p, p_ld, g in zip(params, params_ld, analytic):
-        it = np.nditer(p, flags=["multi_index"])
-        while not it.finished:
-            ix = it.multi_index
-            orig = p[ix]
-            p[ix] = orig + h
-            up = _loss_of(net, x, y)
-            p[ix] = orig - h
-            dn = _loss_of(net, x, y)
-            p[ix] = orig
-            fd = (up - dn) / (2.0 * h)
-            a = float(g[ix])
-            if abs(a) + abs(fd) < 1e-3:
-                # float64 differencing is noise-limited here; redo in
-                # 80-bit precision
-                orig_ld = p_ld[ix]
-                p_ld[ix] = orig_ld + h_ld
-                up_ld = _loss_longdouble(w_ld, b_ld, x_ld, y_ld, classifier)
-                p_ld[ix] = orig_ld - h_ld
-                dn_ld = _loss_longdouble(w_ld, b_ld, x_ld, y_ld, classifier)
-                p_ld[ix] = orig_ld
-                fd = float((up_ld - dn_ld) / (2.0 * h_ld))
-            rel = abs(a - fd) / (abs(a) + abs(fd) + 1e-12)
-            worst = max(worst, rel)
-            it.iternext()
-    return worst
 
 
 def save(net: Network) -> str:

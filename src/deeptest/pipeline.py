@@ -48,8 +48,6 @@ __all__ = [
     "CriticalFit",
     "FittedTest",
     "Decision",
-    "first_fold_pool",
-    "second_fold_pool",
     "select_structure",
     "fit_statistic_net",
     "calibrate_constant_cutoff",
@@ -120,11 +118,6 @@ class ConstantCutoff:
 
     value: float
 
-    def linear_predictor(self, features) -> np.ndarray:
-        features = np.asarray(features, dtype=np.float64)
-        reps = 1 if features.ndim <= 1 else features.shape[0]
-        return np.full(reps, self.value)
-
 
 @dataclass
 class CriticalFit:
@@ -164,36 +157,6 @@ class FittedTest:
             raise ValueError("critical_net must be a Network or ConstantCutoff")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-
-
-def first_fold_pool(input_dim: int, dropout_rate: float = 0.1) -> CandidatePool:
-    """Reference statistic-net pool: depths {2, 4} x widths {10, 40}."""
-    specs = tuple(
-        NetworkSpec(
-            input_dim=input_dim,
-            hidden_layers=(width,) * depth,
-            head=HEAD_CLASSIFIER,
-            dropout_rate=dropout_rate,
-        )
-        for depth in (2, 4)
-        for width in (10, 40)
-    )
-    return CandidatePool(specs=specs)
-
-
-def second_fold_pool(input_dim: int, dropout_rate: float = 0.1) -> CandidatePool:
-    """Reference critical-net pool: depths {2, 3} x widths {30, 40, 50}."""
-    specs = tuple(
-        NetworkSpec(
-            input_dim=input_dim,
-            hidden_layers=(width,) * depth,
-            head=HEAD_REGRESSOR,
-            dropout_rate=dropout_rate,
-        )
-        for depth in (2, 3)
-        for width in (30, 40, 50)
-    )
-    return CandidatePool(specs=specs)
 
 
 def _spec_key(spec: NetworkSpec) -> int:
@@ -312,11 +275,10 @@ def fit_statistic_net(
 
 
 def _statistic_values(statistic, features: np.ndarray, chunk: int = 100_000) -> np.ndarray:
-    predict = statistic.linear_predictor if hasattr(statistic, "linear_predictor") else statistic
     if features.shape[0] <= chunk:
-        return np.asarray(predict(features), dtype=np.float64)
+        return statistic.linear_predictor(features)
     parts = [
-        np.asarray(predict(features[i : i + chunk]), dtype=np.float64)
+        statistic.linear_predictor(features[i : i + chunk])
         for i in range(0, features.shape[0], chunk)
     ]
     return np.concatenate(parts)

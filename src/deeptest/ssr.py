@@ -35,13 +35,11 @@ __all__ = [
     "proportion_stat",
     "conditional_power",
     "beta_rule",
-    "conditional_expected_power",
     "n2_lookup_table",
     "derive_capped_table",
     "simulate_trials",
     "incta_decisions",
     "bm_decisions",
-    "calibrate_bm",
 ]
 
 _CLIP = 1e-12
@@ -187,17 +185,6 @@ def _cep(m1, n1: int, n2, t_rule: tuple, p_rule: tuple, alpha: float) -> np.ndar
     return np.sum(np.sum(cp * p_weights, axis=2) * t_weights, axis=1)
 
 
-def conditional_expected_power(
-    m1, n1: int, n2, prior_t: tuple, prior_p: tuple, alpha: float
-) -> float:
-    """CP averaged over independent Beta priors on the two true rates,
-    by the QUAD_NODES x QUAD_NODES Gauss-Jacobi rule."""
-    t_nodes, t_weights = beta_rule(*prior_t, QUAD_NODES)
-    t_rule = (t_nodes[None], t_weights[None])
-    m1 = np.array([m1], dtype=np.float64)
-    return float(_cep(m1, n1, n2, t_rule, beta_rule(*prior_p, QUAD_NODES), alpha)[0])
-
-
 def _stage1_prior(count: int, design: DesignParams) -> tuple:
     # Observed rate clipped away from {0,1}; gamma reduced only when it
     # breaches the Bernoulli variance bound.
@@ -326,57 +313,5 @@ def incta_decisions(batch: TrialBatch, n1: int, alpha: float) -> np.ndarray:
 
 def bm_decisions(batch: TrialBatch, n1: int, adjusted_alpha: float = 0.033) -> np.ndarray:
     """Pooled-data proportion test at the adjusted nominal level."""
-    stat = _bm_stats(batch, n1)
+    stat = proportion_stat(batch.x_p1 + batch.x_p2, batch.x_t1 + batch.x_t2, n1 + batch.n2)
     return stat > normal_quantile(1.0 - adjusted_alpha)
-
-
-def _bm_stats(batch: TrialBatch, n1: int) -> np.ndarray:
-    n = n1 + batch.n2
-    return proportion_stat(batch.x_p1 + batch.x_p2, batch.x_t1 + batch.x_t2, n)
-
-
-def calibrate_bm(
-    design: DesignParams,
-    pi_grid,
-    target_alpha: float,
-    stream: RandomStream,
-    n2_table: np.ndarray | None = None,
-    n_trials: int = 100_000,
-) -> float:
-    """Nominal BM level whose max type I over the null grid hits the target.
-
-    The pooled statistics are simulated once per grid point; rejection at
-    a nominal level a uses threshold z_{1-a}, so the max type I curve is
-    monotone in a and plain bisection applies (to within 0.002).
-    """
-    pi_grid = list(pi_grid)
-    if not pi_grid:
-        raise ValueError("pi_grid must be nonempty")
-    if n2_table is None:
-        n2_table = n2_lookup_table(design)
-    stats = [
-        _bm_stats(
-            simulate_trials(pi, pi, design, n_trials, stream.child(1 + i), n2_table),
-            design.n1,
-        )
-        for i, pi in enumerate(pi_grid)
-    ]
-
-    def max_type_i(level: float) -> float:
-        thr = normal_quantile(1.0 - level)
-        return max(float(np.mean(s > thr)) for s in stats)
-
-    lo, hi = 1e-4, target_alpha
-    if max_type_i(hi) <= target_alpha:
-        return hi
-    if max_type_i(lo) > target_alpha:
-        raise RuntimeError("calibration failed: type I above target at the bracket floor")
-    while True:
-        mid = 0.5 * (lo + hi)
-        t = max_type_i(mid)
-        if abs(t - target_alpha) <= 0.002 or hi - lo < 1e-6:
-            return mid
-        if t > target_alpha:
-            hi = mid
-        else:
-            lo = mid

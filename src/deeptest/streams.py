@@ -63,10 +63,6 @@ class RandomStream:
         mixed = _splitmix64(self.stream_id ^ _splitmix64(index & _MASK64))
         return RandomStream(self.seed, mixed)
 
-    def children(self, n: int) -> list["RandomStream"]:
-        """First ``n`` child substreams, in index order."""
-        return [self.child(i) for i in range(n)]
-
 
 def derive_seed(stream: RandomStream) -> int:
     """Collapse a stream descriptor to a single 64-bit training seed."""

@@ -5,8 +5,17 @@ the library (quadrature instead of closed-form inverses, continued
 fractions instead of scipy's incomplete-beta inversion, full sorts
 instead of partial selection, scipy p-values and plain-Python statistics
 instead of the batch decision arrays) so the two routes stay
-independent.  The raw samplers at the end draw whole observations on a
+independent.  The raw samplers draw whole observations on a
 RandomStream, the route the library's exact-law summary draws shortcut.
+
+The rest is reference code built on library primitives, which no
+library path calls: ``library_cep`` evaluates the library's CEP
+quadrature for one cell (the side the Gauss-Legendre oracle checks);
+``calibrate_bm`` bisects the BM comparator's nominal level over a null
+grid by simulation, the source of the 0.033 the configs use; and
+``gradient_check`` with its loss helpers finite-differences the
+library's backprop, in extended precision where float64 differencing is
+noise-limited.
 """
 
 import math
@@ -115,31 +124,71 @@ def mc_margin(p: float, n: int, z: float = 4.0) -> float:
     return z * math.sqrt(max(p * (1.0 - p), 1e-12) / n)
 
 
-def cep_gauss_legendre(cp_fn, prior_t, prior_p, nodes: int = 80) -> float:
+def cep_gauss_legendre(cp_fn, prior_t, prior_p, nodes: int = 80):
     """Expected conditional power by tensor Gauss-Legendre quadrature.
 
-    ``cp_fn(pi_t, pi_p)`` must accept array arguments.  Each Beta prior is
-    integrated on its own effective support [ppf(1e-12), ppf(1-1e-12)]
-    so the narrow priors used by the reassessment rule are resolved.
+    ``cp_fn(pi_t, pi_p)`` must accept array arguments; it may broadcast
+    them against leading axes (several n2 at once, say), and the result
+    then keeps those axes.  Each Beta prior is integrated on its own
+    effective support [ppf(1e-12), ppf(1-1e-12)] so the narrow priors
+    used by the reassessment rule are resolved; a shape below 1 (the
+    priors of extreme stage-1 counts) puts a pole at that end of the
+    support, which the change of variable in ``_beta_axis`` removes.
     """
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    t_nodes, t_w = _beta_axis(*prior_t, x, w)
+    p_nodes, p_w = _beta_axis(*prior_p, x, w)
+    tt, pp = np.meshgrid(t_nodes, p_nodes, indexing="ij")
+    vals = np.asarray(cp_fn(tt.ravel(), pp.ravel()))
+    vals = vals.reshape(vals.shape[:-1] + (t_nodes.size, p_nodes.size))
+    total = float(t_w.sum() * p_w.sum())
+    cep = np.einsum("i,...ij,j->...", t_w, vals, p_w) / total
+    return float(cep) if cep.ndim == 0 else cep
+
+
+def _beta_axis(a: float, b: float, x: np.ndarray, w: np.ndarray) -> tuple:
+    # Nodes and weights of E[f(p)], p ~ Beta(a, b), from the Legendre rule
+    # (x, w) on [-1, 1].  With both shapes >= 1 the density is smooth and
+    # is integrated in p.  A shape a < 1 is a pole p^(a-1) at 0, which the
+    # variable s = p^a cancels (p^(a-1) dp = ds / a); b < 1 likewise with
+    # s = (1-p)^b at 1.  With both below 1, each half of [0, 1] takes its
+    # own variable.
+    from scipy.special import betaln
     from scipy.stats import beta as beta_dist
 
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    def legendre(lo, hi):
+        return 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
 
-    def axis(prior):
-        a, b = prior
-        lo = beta_dist.ppf(1e-12, a, b)
-        hi = beta_dist.ppf(1.0 - 1e-12, a, b)
-        t = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-        wt = 0.5 * (hi - lo) * w * beta_dist.pdf(t, a, b)
-        return t, wt
+    lo, hi = beta_dist.ppf(1e-12, a, b), beta_dist.ppf(1.0 - 1e-12, a, b)
+    if a >= 1.0 and b >= 1.0:
+        t, wt = legendre(lo, hi)
+        return t, wt * beta_dist.pdf(t, a, b)
+    norm = math.exp(-betaln(a, b))
+    pieces = []
+    if a < 1.0:
+        s, ws = legendre(0.0, (0.5 if b < 1.0 else hi) ** a)
+        p = s ** (1.0 / a)
+        pieces.append((p, ws * norm / a * (1.0 - p) ** (b - 1.0)))
+    if b < 1.0:
+        s, ws = legendre(0.0, (0.5 if a < 1.0 else 1.0 - lo) ** b)
+        q = s ** (1.0 / b)
+        pieces.append((1.0 - q, ws * norm / b * (1.0 - q) ** (a - 1.0)))
+    t = np.concatenate([p for p, _ in pieces])
+    # a node that underflows to 0 (or rounds to 1) is moved just inside,
+    # where the conditional power is defined
+    t = np.clip(t, np.finfo(float).tiny, 1.0 - np.finfo(float).epsneg)
+    return t, np.concatenate([wt for _, wt in pieces])
 
-    t_nodes, t_w = axis(prior_t)
-    p_nodes, p_w = axis(prior_p)
-    tt, pp = np.meshgrid(t_nodes, p_nodes, indexing="ij")
-    vals = cp_fn(tt.ravel(), pp.ravel()).reshape(nodes, nodes)
-    total = float(t_w.sum() * p_w.sum())
-    return float(np.einsum("i,ij,j->", t_w, vals, p_w) / total)
+
+def library_cep(m1: float, n1: int, n2, prior_t, prior_p, alpha: float) -> float:
+    """The library's CEP of one stage-1 cell, the value the oracle above
+    checks: ``ssr._cep`` on the ``ssr.beta_rule`` rules of the priors."""
+    from deeptest import ssr
+
+    t_nodes, t_weights = ssr.beta_rule(*prior_t, ssr.QUAD_NODES)
+    p_rule = ssr.beta_rule(*prior_p, ssr.QUAD_NODES)
+    t_rule = (t_nodes[None], t_weights[None])
+    return float(ssr._cep(np.array([m1], dtype=np.float64), n1, n2, t_rule, p_rule, alpha)[0])
 
 
 def z_statistic(sample, mu0: float, sigma: float) -> float:
@@ -233,3 +282,137 @@ def sample_beta(stream, a, b, size=None):
         raise ValueError("beta shape parameters must be positive")
     out = stream.generator().beta(a, b, size=size)
     return float(out) if size is None and np.isscalar(a) and np.isscalar(b) else out
+
+
+def calibrate_bm(design, pi_grid, target_alpha: float, stream, n2_table, n_trials: int = 100_000):
+    """Nominal BM level whose max type I over the null grid hits the target.
+
+    The pooled statistics are simulated once per grid point; rejection at
+    a nominal level a uses threshold z_{1-a}, so the max type I curve is
+    monotone in a and plain bisection applies (to within 0.002).
+    """
+    from deeptest.ssr import proportion_stat, simulate_trials
+    from deeptest.stats import normal_quantile
+
+    stats = []
+    for i, pi in enumerate(pi_grid):
+        batch = simulate_trials(pi, pi, design, n_trials, stream.child(1 + i), n2_table)
+        stats.append(
+            proportion_stat(batch.x_p1 + batch.x_p2, batch.x_t1 + batch.x_t2, design.n1 + batch.n2)
+        )
+
+    def max_type_i(level: float) -> float:
+        thr = normal_quantile(1.0 - level)
+        return max(float(np.mean(s > thr)) for s in stats)
+
+    lo, hi = 1e-4, target_alpha
+    if max_type_i(hi) <= target_alpha:
+        return hi
+    if max_type_i(lo) > target_alpha:
+        raise RuntimeError("calibration failed: type I above target at the bracket floor")
+    while True:
+        mid = 0.5 * (lo + hi)
+        t = max_type_i(mid)
+        if abs(t - target_alpha) <= 0.002 or hi - lo < 1e-6:
+            return mid
+        if t > target_alpha:
+            hi = mid
+        else:
+            lo = mid
+
+
+def loss_of(net, x_std: np.ndarray, y: np.ndarray) -> float:
+    """Inference-mode batch loss of a network on standardized inputs."""
+    from deeptest.nnet import HEAD_CLASSIFIER, _forward_train, bce_loss, mse_loss
+
+    z, _, _ = _forward_train(net, x_std, gen=None)
+    if net.spec.head == HEAD_CLASSIFIER:
+        return bce_loss(z, y)
+    return mse_loss(z, y)
+
+
+def _loss_longdouble(weights, biases, x, y, classifier: bool) -> np.longdouble:
+    # Extended-precision forward + loss for the finite-difference probe;
+    # pure numpy so the longdouble type is preserved end to end.
+    a = x
+    last = len(weights) - 1
+    for k in range(last):
+        a = np.maximum(a @ weights[k] + biases[k], np.longdouble(0.0))
+    z = (a @ weights[last] + biases[last])[:, 0]
+    if classifier:
+        vals = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
+    else:
+        vals = (z - y) ** 2
+    return vals.mean()
+
+
+def gradient_check(spec, features, label, seed: int = 1234) -> float:
+    """Max relative error between backprop and central finite differences.
+
+    Dropout is disabled; the step is 1e-6 and the normalizer is
+    |analytic| + |fd| + 1e-12.  The probe network uses positively
+    coupled, layer-scaled weights so no ReLU sits near its kink and no
+    gradient is driven to the float64 rounding floor by path
+    cancellation; parameters whose gradients are nevertheless small are
+    re-differenced in extended precision.
+    """
+    from scipy.special import expit
+
+    from deeptest.nnet import HEAD_CLASSIFIER, Network, _backprop, _forward_train
+
+    x = np.asarray(features, dtype=np.float64).reshape(1, -1)
+    y = np.asarray([label], dtype=np.float64)
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    widths = spec.widths
+    weights = [
+        gen.uniform(0.3, 1.0, size=(widths[k], widths[k + 1])) * (2.0 / widths[k])
+        for k in range(len(widths) - 1)
+    ]
+    biases = [np.full(widths[k + 1], 0.02) for k in range(len(widths) - 1)]
+    net = Network(spec=spec, weights=weights, biases=biases)
+
+    z, acts, masks = _forward_train(net, x, gen=None)
+    classifier = spec.head == HEAD_CLASSIFIER
+    if classifier:
+        dz = expit(z) - y
+    else:
+        dz = 2.0 * (z - y)
+    g_w, g_b = _backprop(net, acts, masks, dz)
+    analytic = g_w + g_b
+
+    w_ld = [w.astype(np.longdouble) for w in net.weights]
+    b_ld = [b.astype(np.longdouble) for b in net.biases]
+    x_ld = x.astype(np.longdouble)
+    y_ld = y.astype(np.longdouble)
+
+    h = 1e-6
+    h_ld = np.longdouble(h)
+    worst = 0.0
+    params = net.weights + net.biases
+    params_ld = w_ld + b_ld
+    for p, p_ld, g in zip(params, params_ld, analytic):
+        it = np.nditer(p, flags=["multi_index"])
+        while not it.finished:
+            ix = it.multi_index
+            orig = p[ix]
+            p[ix] = orig + h
+            up = loss_of(net, x, y)
+            p[ix] = orig - h
+            dn = loss_of(net, x, y)
+            p[ix] = orig
+            fd = (up - dn) / (2.0 * h)
+            a = float(g[ix])
+            if abs(a) + abs(fd) < 1e-3:
+                # float64 differencing is noise-limited here; redo in
+                # 80-bit precision
+                orig_ld = p_ld[ix]
+                p_ld[ix] = orig_ld + h_ld
+                up_ld = _loss_longdouble(w_ld, b_ld, x_ld, y_ld, classifier)
+                p_ld[ix] = orig_ld - h_ld
+                dn_ld = _loss_longdouble(w_ld, b_ld, x_ld, y_ld, classifier)
+                p_ld[ix] = orig_ld
+                fd = float((up_ld - dn_ld) / (2.0 * h_ld))
+            rel = abs(a - fd) / (abs(a) + abs(fd) + 1e-12)
+            worst = max(worst, rel)
+            it.iternext()
+    return worst

@@ -38,25 +38,18 @@ from deeptest.harness import (
     reproduce,
     run_experiment,
 )
-from deeptest.nnet import HEAD_REGRESSOR, NetworkSpec, TrainConfig, gradient_check
+from deeptest.nnet import HEAD_CLASSIFIER, HEAD_REGRESSOR, NetworkSpec, TrainConfig
 from deeptest.nnet import load as load_network
 from deeptest.nnet import save as save_network
 from deeptest.pipeline import (
     CandidatePool,
     calibrate_constant_cutoff,
     decide_batch,
-    first_fold_pool,
     load_bundle,
     save_bundle,
-    second_fold_pool,
 )
 from deeptest.scenarios import adaptive_scenario, summary_draws
-from deeptest.ssr import (
-    DesignParams,
-    conditional_expected_power,
-    conditional_power,
-    proportion_stat,
-)
+from deeptest.ssr import DesignParams, conditional_power, proportion_stat
 from deeptest.stats import empirical_upper_quantile
 from deeptest.streams import RandomStream
 
@@ -383,21 +376,28 @@ def test_criterion_7_property_suites(accept_cache, tmp_path):
     t0 = time.time()
     problems = []
 
-    # Gradient check on every candidate structure of both default pools.
+    # Gradient check on every candidate structure of both default pools:
+    # statistic nets of depths {2, 4} x widths {10, 40}, critical nets of
+    # depths {2, 3} x widths {30, 40, 50}.
     max_grad_err = 0.0
-    pools = [first_fold_pool(d) for d in (1, 2, 3)]
-    pools += [second_fold_pool(d) for d in (1, 2)]
-    for pool in pools:
-        for spec in pool.specs:
-            features = np.linspace(0.15, 0.85, spec.input_dim)
-            label = 1.0 if pool.head != HEAD_REGRESSOR else 0.4
-            err = gradient_check(spec, features, label, seed=2026)
-            max_grad_err = max(max_grad_err, err)
-            if err >= 1e-5:
-                problems.append(
-                    f"gradient check {err:.2e} >= 1e-5 for layers {spec.hidden_layers} "
-                    f"({pool.head}, input_dim {spec.input_dim})"
+    pools = [(HEAD_CLASSIFIER, d, (2, 4), (10, 40)) for d in (1, 2, 3)]
+    pools += [(HEAD_REGRESSOR, d, (2, 3), (30, 40, 50)) for d in (1, 2)]
+    for head, input_dim, depths, widths in pools:
+        for depth in depths:
+            for width in widths:
+                spec = NetworkSpec(
+                    input_dim=input_dim, hidden_layers=(width,) * depth, head=head,
+                    dropout_rate=0.1,
                 )
+                features = np.linspace(0.15, 0.85, input_dim)
+                label = 1.0 if head != HEAD_REGRESSOR else 0.4
+                err = oracles.gradient_check(spec, features, label, seed=2026)
+                max_grad_err = max(max_grad_err, err)
+                if err >= 1e-5:
+                    problems.append(
+                        f"gradient check {err:.2e} >= 1e-5 for layers {spec.hidden_layers} "
+                        f"({head}, input_dim {input_dim})"
+                    )
 
     # Empirical upper quantile agrees exactly with the sort oracle.
     gen = np.random.Generator(np.random.Philox(key=20_240))
@@ -417,7 +417,7 @@ def test_criterion_7_property_suites(accept_cache, tmp_path):
         (-0.5, 90, (3.0, 7.0), (3.0, 7.0)),
     )
     for m1, n2, prior_t, prior_p in cep_cases:
-        cep = conditional_expected_power(m1, 85, n2, prior_t, prior_p, 0.05)
+        cep = oracles.library_cep(m1, 85, n2, prior_t, prior_p, 0.05)
         quad = oracles.cep_gauss_legendre(
             lambda pt, pp: conditional_power(m1, 85, n2, pt, pp, 0.05), prior_t, prior_p
         )

@@ -3,6 +3,7 @@ config parsing and validation, cache coherence, the worker pool,
 end-to-end determinism, the sample-size search, heatmap export, the
 canned exhibits, and the staged CLI flow."""
 
+import copy
 import json
 import multiprocessing.pool
 import operator
@@ -10,7 +11,7 @@ import os
 import subprocess
 import sys
 import threading
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +27,7 @@ from deeptest.harness import (
     Sizes,
     StageError,
     asn_for_power,
-    config_from_dict,
     config_hash,
-    config_to_dict,
     fit_test,
     heatmap_export,
     load_config,
@@ -40,7 +39,6 @@ from deeptest.harness import (
     run_experiment,
     scaled_config,
     validate,
-    with_seed,
 )
 from deeptest.nnet import HEAD_CLASSIFIER, HEAD_REGRESSOR, NetworkSpec, TrainConfig
 from deeptest.pipeline import CandidatePool
@@ -223,15 +221,59 @@ def test_config_seed_is_mandatory_u64():
         replace(config, seed=1.5)
 
 
-def test_config_dict_round_trip():
+def _leaves(value, path=()):
+    # (path, value) of every scalar inside a config: dataclass fields,
+    # tuple entries and dict values, walked recursively
+    if is_dataclass(value):
+        items = [(f.name, getattr(value, f.name)) for f in fields(value)]
+    elif isinstance(value, dict):
+        items = list(value.items())
+    elif isinstance(value, tuple):
+        items = list(enumerate(value))
+    else:
+        yield path, value
+        return
+    for key, item in items:
+        yield from _leaves(item, path + (key,))
+
+
+def _with_leaf(value, path, new):
+    # a copy with the leaf at ``path`` set to ``new``; dataclasses are
+    # copied without revalidation, since only the hash reads the result
+    if not path:
+        return new
+    key, rest = path[0], path[1:]
+    if isinstance(value, dict):
+        return {**value, key: _with_leaf(value[key], rest, new)}
+    if isinstance(value, tuple):
+        return value[:key] + (_with_leaf(value[key], rest, new),) + value[key + 1 :]
+    out = copy.copy(value)
+    object.__setattr__(out, key, _with_leaf(getattr(value, key), rest, new))
+    return out
+
+
+def test_config_hash_covers_every_leaf_field():
+    # the hash keys cached bundles and provenance, so a change to any
+    # leaf of the config must move it; a train config's own seed is the
+    # one exception, as every fit replaces it with a derived seed (the
+    # tiny configs have one candidate per pool, whose input_dim and head
+    # the pool shares)
+    bump = {int: lambda v: v + 1, float: lambda v: v + 0.125, str: lambda v: v + "x"}
     for config in (tiny_known_config(), tiny_adaptive_config()):
-        assert config_from_dict(config_to_dict(config)) == config
+        base = config_hash(config)
+        changed = 0
+        for path, leaf in _leaves(config):
+            if leaf is None or (path[-1] == "seed" and len(path) > 1):
+                continue
+            assert config_hash(_with_leaf(config, path, bump[type(leaf)](leaf))) != base, path
+            changed += 1
+        assert changed > 20
 
 
 def test_config_hash_changes_with_any_field():
     config = tiny_adaptive_config()
     base = config_hash(config)
-    assert config_hash(with_seed(config, 93)) != base
+    assert config_hash(replace(config, seed=93)) != base
     assert config_hash(scaled_config(config, 0.5)) != base
     assert config_hash(replace(config, bm_level=0.05)) != base
     assert config_hash(replace(config, design=replace(TINY_DESIGN, gamma=0.002),)) != base
@@ -261,8 +303,9 @@ def test_packaged_configs_parse_and_round_trip():
     for name, count in expected.items():
         configs = load_config(packaged_config(name))
         assert len(configs) == count
+        # the dict form that the hash reads tells the file's experiments apart
+        assert len({config_hash(config) for config in configs}) == count
         for config in configs:
-            assert config_from_dict(config_to_dict(config)) == config
             counts = config.scenario.counts
             assert (counts.b0, counts.b1, counts.b_prime) == (
                 config.sizes.b0,
@@ -314,10 +357,6 @@ def test_removed_design_key_cep_mc_iters_is_named(tmp_path):
     path.write_text(text.replace("design:\n", "design:\n  cep_mc_iters: 10000\n"), encoding="utf-8")
     with pytest.raises(ValueError, match="'cep_mc_iters' was removed"):
         load_config(path)
-    doc = config_to_dict(tiny_adaptive_config())
-    doc["design"]["cep_mc_iters"] = 2000
-    with pytest.raises(ValueError, match="'cep_mc_iters' was removed"):
-        config_from_dict(doc)
 
 
 def _write_cfg(path, doc) -> Path:
@@ -502,10 +541,9 @@ def test_bundle_sources_cover_the_fit_path():
         assert fn.__module__.removeprefix("deeptest.") in harness._BUNDLE_SOURCES, fn.__name__
 
 
-def test_cache_keys_hold_the_blas_thread_count(tmp_path, monkeypatch):
-    # the thread count changes the bits of a matmul, so an artifact built
-    # under another count must not be served
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+def _assert_cache_keys_hold(tmp_path, monkeypatch, change) -> None:
+    # an n2 table and a bundle stored before ``change(monkeypatch)`` are
+    # served again before it and rebuilt after it
     config = tiny_known_config(seed=99)
     cache = CacheStore(tmp_path)
     harness._cached_table(TINY_DESIGN, cache)
@@ -524,10 +562,30 @@ def test_cache_keys_hold_the_blas_thread_count(tmp_path, monkeypatch):
     harness._cached_table(TINY_DESIGN, cache)
     fit_test(config, cache=cache)
     assert builds == []
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    change(monkeypatch)
     harness._cached_table(TINY_DESIGN, cache)
     fit_test(config, cache=cache)
     assert builds == ["n2_lookup_table", "generate_training_data"]
+
+
+def test_cache_keys_hold_the_blas_thread_count(tmp_path, monkeypatch):
+    # the thread count changes the bits of a matmul, so an artifact built
+    # under another count must not be served
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    _assert_cache_keys_hold(
+        tmp_path, monkeypatch, lambda mp: mp.setenv("OPENBLAS_NUM_THREADS", "2")
+    )
+
+
+def test_cache_keys_hold_the_library_versions(tmp_path, monkeypatch):
+    # another numpy or scipy can change the bits of an artifact, so one
+    # built under other versions must not be served
+    versions = harness._versions()
+    _assert_cache_keys_hold(
+        tmp_path,
+        monkeypatch,
+        lambda mp: mp.setattr(harness, "_versions", lambda: {**versions, "numpy": "0.0.1"}),
+    )
 
 
 def test_cache_store_concurrent_writers_one_key(tmp_path):
@@ -671,7 +729,7 @@ def test_fit_test_reuses_cached_bundle(tmp_path, monkeypatch):
     hit, _ = fit_test(revalidated, cache=cache)
     assert pipeline.save_bundle(hit) == pipeline.save_bundle(test)
     with pytest.raises(StageError):
-        fit_test(with_seed(config, 97), cache=cache)
+        fit_test(replace(config, seed=97), cache=cache)
 
 
 def test_stage_error_tags_the_stage(monkeypatch):
@@ -1016,6 +1074,21 @@ def test_import_pins_blas_before_numpy_loads():
     ).stdout.split()
     assert run(env) == ["1", "1", "1", "1"]
     assert run({**env, "OPENBLAS_NUM_THREADS": "2"})[:3] == ["2", "1", "1"]
+
+
+def test_import_warns_on_multithreaded_blas():
+    # an explicit BLAS thread count above 1 is kept, with one warning
+    # that byte-equality across worker counts is then not assured
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    run = lambda env: subprocess.run(
+        [sys.executable, "-W", "always", "-c", "import deeptest.cli"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stderr
+    assert run(env) == ""
+    assert run({**env, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}) == ""
+    err = run({**env, "OPENBLAS_NUM_THREADS": "2"})
+    assert err.count("RuntimeWarning") == 1
+    assert "OPENBLAS_NUM_THREADS" in err and "byte-equal" in err
 
 
 def test_cli_usage_error_nonzero(capsys):

@@ -8,6 +8,7 @@ scale and shared by every assertion that reads it.
 
 import json
 import warnings
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -57,6 +58,25 @@ def _reversed_mapper(fn, tasks):
     return out
 
 
+def _pool(input_dim, head, depths, widths):
+    # the candidates depths x widths, dropout 0.1, in config order
+    specs = tuple(
+        NetworkSpec(
+            input_dim=input_dim, hidden_layers=(w,) * d, head=head, dropout_rate=0.1
+        )
+        for d in depths
+        for w in widths
+    )
+    return pipeline.CandidatePool(specs=specs)
+
+
+class _Statistic:
+    """Stand-in statistic: any function of the feature rows."""
+
+    def __init__(self, fn):
+        self.linear_predictor = fn
+
+
 def _toy_dataset(n=2000, seed=11):
     gen = RandomStream(seed=seed).generator()
     x = gen.normal(0.0, 1.0, size=(n, 1))
@@ -73,7 +93,7 @@ def known_fit():
     data = generate_training_data(spec, stream.child(0))
     config = TrainConfig(epochs=10, batch_size=500)
     net, report = pipeline.fit_statistic_net(
-        data, pipeline.first_fold_pool(1), config, stream.child(1)
+        data, _pool(1, HEAD_CLASSIFIER, (2, 4), (10, 40)), config, stream.child(1)
     )
     cutoff = pipeline.calibrate_constant_cutoff(
         net, spec, spec.counts.b_prime, 0.05, stream.child(2)
@@ -98,7 +118,10 @@ def unknown_fit():
     stream = ROOT.child(2)
     data = generate_training_data(spec, stream.child(0))
     net, _ = pipeline.fit_statistic_net(
-        data, pipeline.first_fold_pool(2), TrainConfig(epochs=10, batch_size=500), stream.child(1)
+        data,
+        _pool(2, HEAD_CLASSIFIER, (2, 4), (10, 40)),
+        TrainConfig(epochs=10, batch_size=500),
+        stream.child(1),
     )
     crit = pipeline.fit_critical_surface(
         net,
@@ -106,7 +129,7 @@ def unknown_fit():
         partial(gen_null_features, spec),
         spec.counts.b_prime,
         0.05,
-        pipeline.second_fold_pool(1),
+        _pool(1, HEAD_REGRESSOR, (2, 3), (30, 40, 50)),
         TrainConfig(epochs=1000, batch_size=10),
         stream.child(2),
     )
@@ -151,22 +174,34 @@ def adaptive_fit():
 # ------------------------------------------------------------------- types
 
 
+def _packaged_configs():
+    from deeptest.harness import load_config, packaged_config
+
+    names = ("musec.cfg", "musec_designs.cfg", "table4.cfg", "table5.cfg", "table6.cfg")
+    return [config for name in names for config in load_config(packaged_config(name))]
+
+
 def test_first_fold_pool_layout():
-    pool = pipeline.first_fold_pool(3)
-    layers = sorted(s.hidden_layers for s in pool.specs)
-    assert layers == sorted(
-        [(10, 10), (40, 40), (10, 10, 10, 10), (40, 40, 40, 40)]
-    )
-    assert pool.head == HEAD_CLASSIFIER
-    assert all(s.dropout_rate == 0.1 and s.input_dim == 3 for s in pool.specs)
+    # every shipped experiment selects its statistic net from the
+    # reference pool: depths {2, 4} x widths {10, 40}, dropout 0.1
+    for config in _packaged_configs():
+        pool = config.first_pool
+        layers = sorted(s.hidden_layers for s in pool.specs)
+        assert layers == sorted([(10, 10), (40, 40), (10, 10, 10, 10), (40, 40, 40, 40)])
+        assert pool.head == HEAD_CLASSIFIER
+        assert pool.input_dim == config.scenario.input_dim
+        assert all(s.dropout_rate == 0.1 for s in pool.specs)
 
 
 def test_second_fold_pool_layout():
-    pool = pipeline.second_fold_pool(1)
-    layers = sorted(s.hidden_layers for s in pool.specs)
-    widths = {30, 40, 50}
-    assert layers == sorted([(w,) * d for d in (2, 3) for w in widths])
-    assert pool.head == HEAD_REGRESSOR
+    # and its critical net, where it has one, from depths {2, 3} x
+    # widths {30, 40, 50}
+    pools = [c.second_pool for c in _packaged_configs() if c.second_pool is not None]
+    assert len(pools) == 5
+    for pool in pools:
+        layers = sorted(s.hidden_layers for s in pool.specs)
+        assert layers == sorted([(w,) * d for d in (2, 3) for w in (30, 40, 50)])
+        assert pool.head == HEAD_REGRESSOR
 
 
 def test_pool_rejects_empty_and_mixed():
@@ -219,10 +254,15 @@ def test_fitted_test_head_validation(known_fit):
         )
 
 
-def test_constant_cutoff_shapes():
+def test_constant_cutoff_shapes(known_fit):
+    # a constant cutoff is one scalar, compared with every row's statistic
+    test, _ = known_fit
     cut = pipeline.ConstantCutoff(value=1.25)
-    assert np.array_equal(cut.linear_predictor(np.zeros(3)), np.array([1.25]))
-    assert np.array_equal(cut.linear_predictor(np.zeros((5, 2))), np.full(5, 1.25))
+    test = replace(test, critical_net=cut)
+    feats = np.linspace(-1.0, 1.0, 5)[:, None]
+    stats = test.statistic_net.linear_predictor(feats)
+    assert np.array_equal(pipeline.decide_batch(test, feats, None), stats > 1.25)
+    assert not hasattr(cut, "linear_predictor")
 
 
 # --------------------------------------------------------------- selection
@@ -503,7 +543,7 @@ def test_identity_statistic_cutoff_matches_closed_form():
         mu0=0.0, mu1=KNOWN_MU1, sigma=KNOWN_SIGMA, n=KNOWN_N, b0=10, b1=10, b_prime=400_000
     )
     cut = pipeline.calibrate_constant_cutoff(
-        lambda feats: feats[:, 0], spec, 400_000, 0.05, ROOT.child(25)
+        _Statistic(lambda feats: feats[:, 0]), spec, 400_000, 0.05, ROOT.child(25)
     )
     analytic = KNOWN_SIGMA * normal_quantile(0.95) / np.sqrt(KNOWN_N)
     assert cut.value == pytest.approx(analytic, abs=2.5e-3)
@@ -581,11 +621,8 @@ def test_critical_labels_mapper_is_order_safe(unknown_fit):
 def test_constant_statistic_gives_constant_surface():
     inputs = np.linspace(0.6, 2.4, 40)[:, None]
 
-    def constant_statistic(feats):
-        return np.full(feats.shape[0], 2.5)
-
     labels = pipeline.critical_labels(
-        constant_statistic,
+        _Statistic(lambda feats: np.full(feats.shape[0], 2.5)),
         inputs,
         lambda row, reps, stream: np.zeros((reps, 1)),
         1_000,
@@ -605,7 +642,7 @@ def test_constant_statistic_gives_constant_surface():
 
 def test_critical_net_rejects_bad_inputs(unknown_fit):
     test, _ = unknown_fit
-    pool = pipeline.second_fold_pool(1)
+    pool = _pool(1, HEAD_REGRESSOR, (2, 3), (30, 40, 50))
     config = TrainConfig(epochs=1, batch_size=10)
     with pytest.raises(ValueError):
         pipeline.fit_critical_net(np.zeros((1, 1)), np.zeros(1), pool, config, ROOT)

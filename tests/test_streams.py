@@ -18,10 +18,10 @@ class TestReplay:
 
     def test_children_are_distinct_and_deterministic(self):
         root = RandomStream(seed=42)
-        kids = root.children(64)
+        kids = [root.child(i) for i in range(64)]
         ids = {k.stream_id for k in kids}
         assert len(ids) == 64
-        again = [root.child(i) for i in range(64)]
+        again = [RandomStream(seed=42).child(i) for i in range(64)]
         assert kids == again
 
     def test_nested_children_do_not_collide(self):

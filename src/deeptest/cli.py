@@ -49,6 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--pi-p", type=float, required=True)
     p.add_argument("--pi-t", type=float, required=True)
+    p.add_argument("--cache", default=None, help="artifact cache directory")
 
     p = sub.add_parser("asn", help="search n2_max for a target power and report ASN")
     common(p)
@@ -165,7 +166,7 @@ def _cmd_run(harness, args) -> int:
 
 
 def _cmd_simulate_trial(harness, args) -> int:
-    from .ssr import DesignParams, TrialPath, n2_lookup_table, simulate_trials
+    from .ssr import DesignParams, TrialPath, simulate_trials
     from .streams import RandomStream
 
     design = DesignParams()
@@ -174,9 +175,8 @@ def _cmd_simulate_trial(harness, args) -> int:
         if len(configs) != 1 or configs[0].design is None:
             raise ValueError("config must hold one adaptive experiment")
         design = configs[0].design
-    batch = simulate_trials(
-        args.pi_p, args.pi_t, design, 1, RandomStream(seed=args.seed), n2_lookup_table(design)
-    )
+    n2_table = harness._cached_table(design, _cache(harness, args))
+    batch = simulate_trials(args.pi_p, args.pi_t, design, 1, RandomStream(seed=args.seed), n2_table)
     path = TrialPath(*(int(getattr(batch, field.name)[0]) for field in fields(TrialPath)))
     print(json.dumps(asdict(path), sort_keys=True))
     return 0

@@ -8,7 +8,9 @@ a function of the nuisance parameters (a constant when the null is fully
 known).  A decision compares statistic to cutoff with strict inequality;
 observed data reach the networks through the scenario family's feature
 map (see scenarios), the one that training and calibration use, and a
-single decision is a one-row batch.
+single decision is a one-row batch.  A batch evaluates the critical
+surface once per distinct critical-input row and gathers the cutoffs
+back, since an adaptive design's critical input takes few values.
 
 Structure selection trains every candidate in the pool on one shared
 80/20 split and keeps the smallest validation loss; per-candidate
@@ -274,16 +276,6 @@ def fit_statistic_net(
     return net, report
 
 
-def _statistic_values(statistic, features: np.ndarray, chunk: int = 100_000) -> np.ndarray:
-    if features.shape[0] <= chunk:
-        return statistic.linear_predictor(features)
-    parts = [
-        statistic.linear_predictor(features[i : i + chunk])
-        for i in range(0, features.shape[0], chunk)
-    ]
-    return np.concatenate(parts)
-
-
 def calibrate_constant_cutoff(
     statistic, null_spec: ScenarioSpec, b_prime: int, alpha: float, stream: RandomStream
 ) -> ConstantCutoff:
@@ -292,7 +284,7 @@ def calibrate_constant_cutoff(
     from .scenarios import gen_null_features
 
     feats = gen_null_features(null_spec, None, b_prime, stream)
-    values = _statistic_values(statistic, feats)
+    values = statistic.linear_predictor(feats)
     return ConstantCutoff(value=empirical_upper_quantile(values, alpha))
 
 
@@ -301,7 +293,7 @@ def critical_label_for_row(
 ) -> float:
     """Upper-alpha null quantile of the statistic at one nuisance value."""
     feats = null_simulator(row, b_prime, substream)
-    values = _statistic_values(statistic, feats)
+    values = statistic.linear_predictor(feats)
     return empirical_upper_quantile(values, alpha)
 
 
@@ -405,14 +397,35 @@ def observed_features(spec: ScenarioSpec, observed) -> tuple:
     return stat[0], None if crit is None else crit[0]
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple:
+    """(distinct rows, inverse) of a 2-D array, by one exact sort:
+    ``distinct[inverse]`` equals ``rows``."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    starts = np.ones(rows.shape[0], dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    inverse = np.empty(rows.shape[0], dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return ordered[starts], inverse
+
+
 def _scores(test: FittedTest, stat_features, crit_features) -> tuple:
-    """Statistic values and cutoffs (a scalar for a constant cutoff)."""
-    stats = _statistic_values(test.statistic_net, np.asarray(stat_features, dtype=np.float64))
+    """Statistic values and cutoffs (a scalar for a constant cutoff).
+
+    Critical inputs repeat (an adaptive design's pooled stage-1 rate takes
+    at most 2 n1 + 1 values), so the surface is evaluated once per
+    distinct row and gathered back.
+    """
+    stats = test.statistic_net.linear_predictor(stat_features)
     if isinstance(test.critical_net, ConstantCutoff):
         return stats, test.critical_net.value
     if crit_features is None:
         raise ValueError("critical features required for a learned surface")
-    return stats, _statistic_values(test.critical_net, np.asarray(crit_features, dtype=np.float64))
+    crit = np.asarray(crit_features, dtype=np.float64)
+    if crit.ndim != 2:
+        raise ValueError(f"expected rows of critical features, got shape {crit.shape}")
+    distinct, inverse = _distinct_rows(crit)
+    return stats, test.critical_net.linear_predictor(distinct)[inverse]
 
 
 def decide(test: FittedTest, observed) -> Decision:

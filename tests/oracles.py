@@ -15,7 +15,9 @@ quadrature for one cell (the side the Gauss-Legendre oracle checks);
 grid by simulation, the source of the 0.033 the configs use; and
 ``gradient_check`` with its loss helpers finite-differences the
 library's backprop, in extended precision where float64 differencing is
-noise-limited.
+noise-limited; ``linear_predictor_one_call`` evaluates a network on a
+whole batch at once, the reference for the library's row-blocked
+inference.
 """
 
 import math
@@ -319,6 +321,18 @@ def calibrate_bm(design, pi_grid, target_alpha: float, stream, n2_table, n_trial
             hi = mid
         else:
             lo = mid
+
+
+def linear_predictor_one_call(net, features) -> np.ndarray:
+    """Inference in one pass over the whole batch, one layer at a time:
+    the reference for the library's row-blocked ``linear_predictor``."""
+    a = (np.asarray(features, dtype=np.float64) - net.shift) / net.scale
+    last = len(net.weights) - 1
+    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+        a = a @ w + b
+        if k < last:
+            np.maximum(a, 0.0, out=a)
+    return a[:, 0]
 
 
 def loss_of(net, x_std: np.ndarray, y: np.ndarray) -> float:

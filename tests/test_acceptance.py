@@ -55,6 +55,11 @@ from deeptest.streams import RandomStream
 
 pytestmark = pytest.mark.acceptance
 
+# Worker count of the shipped-size T5 and T6 fits (criteria 2 and 3), the
+# slowest cold steps of the suite.  Outputs are byte-equal for every worker
+# count, which criterion 7 checks.
+FIT_WORKERS = min(2, os.cpu_count() or 1)
+
 
 @pytest.fixture(scope="module")
 def accept_cache():
@@ -147,7 +152,7 @@ def test_criterion_2_unknown_sigma_reproduction(accept_cache):
         ]
         if 1.5 not in off_grid:
             problems.append(f"{prefix}: sigma=1.5 off-grid null point missing")
-        table, _ = run_experiment(config, workers=1, cache=accept_cache)
+        table, _ = run_experiment(config, workers=FIT_WORKERS, cache=accept_cache)
         for point in config.validation_points:
             label = _point_label(point)
             if point["mu"] == mu0:
@@ -188,7 +193,7 @@ def test_criterion_3_behrens_fisher_reproduction(accept_cache):
     problems = []
     type_is, power_gaps = [], []
     (config,) = load_config(packaged_config("table6.cfg"))
-    table, _ = run_experiment(config, workers=1, cache=accept_cache)
+    table, _ = run_experiment(config, workers=FIT_WORKERS, cache=accept_cache)
     nulls = [p for p in config.validation_points if p["mu_t"] == p["mu_p"]]
     alts = [p for p in config.validation_points if p["mu_t"] != p["mu_p"]]
     pairs = {(p["sigma_p"], p["sigma_t"]) for p in nulls}
@@ -488,7 +493,7 @@ def test_criterion_8_ump_equivalence(accept_cache):
     se = sigma / np.sqrt(spec.n)
 
     grid = np.linspace(mu0 - 5.0 * se, mu0 + 5.0 * se, 2001)
-    values = pipeline._statistic_values(test.statistic_net, grid[:, None])
+    values = test.statistic_net.linear_predictor(grid[:, None])
     if values[-1] <= values[0]:
         problems.append("statistic is not increasing in the sample mean")
     steps = np.diff(values)
@@ -501,7 +506,7 @@ def test_criterion_8_ump_equivalence(accept_cache):
     ).value
 
     def statistic(mean: float) -> float:
-        return float(pipeline._statistic_values(test.statistic_net, np.array([[mean]]))[0])
+        return float(test.statistic_net.linear_predictor(np.array([[mean]]))[0])
 
     lo, hi = mu0, mu0 + 5.0 * se
     offset = float("nan")

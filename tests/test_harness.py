@@ -1031,6 +1031,43 @@ def test_cli_simulate_trial_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
+def _small_design_cfg(tmp_path) -> Path:
+    # musec.cfg with a 13 x 13 reassessment table, quick to build
+    doc = _musec_doc()
+    doc["scenario"]["n1"] = 12
+    doc["design"].update(n1=12, n2_min=5, n2_max=60)
+    return _write_cfg(tmp_path / "small_design.cfg", doc)
+
+
+def _simulate_trial_lines(argv, seeds, capsys) -> list:
+    lines = []
+    for seed in seeds:
+        assert cli.main(["simulate-trial", "--seed", str(seed), *argv]) == 0
+        lines.append(capsys.readouterr().out)
+    return lines
+
+
+def test_cli_simulate_trial_cache_builds_the_table_once(tmp_path, capsys, monkeypatch):
+    argv = ["--pi-p", "0.27", "--pi-t", "0.40", "--config", str(_small_design_cfg(tmp_path)),
+            "--cache", str(tmp_path / "cache")]
+    first = _simulate_trial_lines(argv, [3], capsys)
+
+    def explode(design):
+        raise AssertionError("n2 table rebuilt despite --cache")
+
+    monkeypatch.setattr(harness, "n2_lookup_table", explode)
+    assert _simulate_trial_lines(argv, [3], capsys) == first
+
+
+def test_cli_simulate_trial_cache_matches_uncached(tmp_path, capsys):
+    argv = ["--pi-p", "0.27", "--pi-t", "0.40", "--config", str(_small_design_cfg(tmp_path))]
+    cached = [*argv, "--cache", str(tmp_path / "cache")]
+    seeds = range(50)
+    assert _simulate_trial_lines(cached, seeds, capsys) == _simulate_trial_lines(
+        argv, seeds, capsys
+    )
+
+
 def test_cli_errors_are_stage_tagged(tmp_path, capsys):
     code = cli.main(["validate", "--config", str(tmp_path / "missing.cfg"),
                      "--bundle", "nope.json"])

@@ -8,6 +8,7 @@ from scipy.special import expit
 from deeptest.nnet import (
     HEAD_CLASSIFIER,
     HEAD_REGRESSOR,
+    PREDICT_BLOCK_ROWS,
     Network,
     NetworkSpec,
     TrainConfig,
@@ -22,7 +23,7 @@ from deeptest.nnet import (
     train,
 )
 
-from oracles import gradient_check, loss_of
+from oracles import gradient_check, linear_predictor_one_call, loss_of
 
 
 def _zero_net(spec: NetworkSpec) -> Network:
@@ -103,6 +104,29 @@ class TestForward:
         z_train, _, _ = _forward_train(net, x, gen=None)
         z_inf = net.linear_predictor(x)
         assert np.array_equal(z_train, z_inf)
+
+    def test_blocked_inference_matches_one_call(self):
+        # A batch that ends in a partial block.  A row's last bits depend on
+        # the BLAS kernel its block runs on (OpenBLAS takes a small-matrix
+        # kernel below about 1e6 multiply-adds), so blocked and one-call
+        # values agree to rounding, not always to the bit.
+        gen = np.random.Generator(np.random.Philox(key=6))
+        x = gen.normal(size=(3 * PREDICT_BLOCK_ROWS + 37, 3))
+        for width in (20, 50):
+            spec = NetworkSpec(input_dim=3, hidden_layers=(width,) * 3, head=HEAD_CLASSIFIER)
+            w, b = _init_params(spec, gen)
+            b = [gen.normal(size=bias.shape) for bias in b]
+            net = Network(spec=spec, weights=w, biases=b, shift=gen.normal(size=3))
+            ref = linear_predictor_one_call(net, x)
+            np.testing.assert_allclose(
+                net.linear_predictor(x), ref, rtol=0.0, atol=1e-14 * np.max(np.abs(ref))
+            )
+        # whole blocks end on whole tiles of the BLAS row kernels
+        assert PREDICT_BLOCK_ROWS % 16 == 0
+
+    def test_empty_batch(self):
+        spec = NetworkSpec(input_dim=2, hidden_layers=(3,))
+        assert _zero_net(spec).linear_predictor(np.empty((0, 2))).shape == (0,)
 
 
 class TestLosses:

@@ -7,6 +7,7 @@ scale and shared by every assertion that reads it.
 """
 
 import json
+import tracemalloc
 import warnings
 from dataclasses import replace
 from functools import partial
@@ -797,10 +798,89 @@ def test_decide_batch_matches_scalar_unknown(unknown_fit):
     assert np.array_equal(batch, singles)
 
 
+def _random_net(input_dim, head, seed):
+    spec = NetworkSpec(input_dim=input_dim, hidden_layers=(20, 20), head=head)
+    gen = RandomStream(seed=seed).generator()
+    weights, biases = nnet._init_params(spec, gen)
+    biases = [gen.normal(size=b.shape) for b in biases]
+    return Network(spec=spec, weights=weights, biases=biases)
+
+
+def _assert_cutoffs_match(gathered, direct):
+    # A row's last bits can depend on its place in a BLAS call (the kernel
+    # OpenBLAS picks for a small matrix, the tail of a row tile), and the
+    # distinct rows sit elsewhere than in the full batch.
+    np.testing.assert_allclose(gathered, direct, rtol=1e-13, atol=1e-13)
+
+
+def test_distinct_rows_inverts_exactly():
+    # ties in the first column that differ in the second stay apart
+    rows = np.array([[0.5, 2.0], [0.5, 1.0], [0.25, 2.0], [0.5, 2.0], [0.5, 1.0], [-0.0, 3.0]])
+    distinct, inverse = pipeline._distinct_rows(rows)
+    assert np.array_equal(distinct[inverse], rows)
+    assert distinct.shape == (4, 2)
+    empty, none = pipeline._distinct_rows(np.empty((0, 2)))
+    assert empty.shape == (0, 2) and none.shape == (0,)
+
+
+def test_decide_batch_adaptive_matches_one_evaluation_per_row(adaptive_fit):
+    # pooled stage-1 rates repeat: 5,000 trials take at most 2 n1 + 1 values
+    test, _, table = adaptive_fit
+    batch = simulate_trials(0.30, 0.30, TINY_DESIGN, 5_000, ROOT.child(41), table)
+    stat, crit = test.scenario.family.features(test.scenario, batch)
+    assert np.unique(crit).size <= 2 * TINY_DESIGN.n1 + 1
+    cutoffs = test.critical_net.linear_predictor(crit)
+    _assert_cutoffs_match(pipeline._scores(test, stat, crit)[1], cutoffs)
+    expected = test.statistic_net.linear_predictor(stat) > cutoffs
+    assert np.array_equal(pipeline.decide_batch(test, stat, crit), expected)
+
+
+def test_decide_batch_behrens_fisher_matches_one_evaluation_per_row():
+    spec = behrens_fisher_scenario(
+        mu_p=0.0, sigma_values=(1.0, 1.2), powers=(0.8,), n=20, b0=10, b1=10, l=4, b_prime=10
+    )
+    family = spec.family
+    draws = family.sample(spec, family.point(spec, (1.0, 1.2), None), 3_000, ROOT.child(42))
+    stat, crit = family.features(spec, draws)
+    # continuous inputs never repeat; add exact repeats and rows that tie
+    # in the first column but differ in the second
+    pick = np.array([0, 1, 2, 0, 1])
+    crit = np.vstack([crit, crit[pick], np.column_stack([crit[:3, 0], crit[3:6, 1]])])
+    stat = np.vstack([stat, stat[pick], stat[:3]])
+    test = pipeline.FittedTest(
+        statistic_net=_random_net(3, HEAD_CLASSIFIER, 43),
+        critical_net=_random_net(2, HEAD_REGRESSOR, 44),
+        scenario=spec,
+        alpha=0.05,
+        provenance={},
+    )
+    cutoffs = test.critical_net.linear_predictor(crit)
+    _assert_cutoffs_match(pipeline._scores(test, stat, crit)[1], cutoffs)
+    expected = test.statistic_net.linear_predictor(stat) > cutoffs
+    assert np.array_equal(pipeline.decide_batch(test, stat, crit), expected)
+
+
+def test_decide_batch_memory_is_bounded(adaptive_fit):
+    # inference runs in row blocks and the surface once per distinct input,
+    # so the peak stays a few arrays of one value per row
+    test, _, table = adaptive_fit
+    batch = simulate_trials(0.30, 0.30, TINY_DESIGN, 200_000, ROOT.child(45), table)
+    stat, crit = test.scenario.family.features(test.scenario, batch)
+    tracemalloc.start()
+    try:
+        pipeline.decide_batch(test, stat, crit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20, f"decide_batch peak {peak / 2**20:.1f} MB"
+
+
 def test_decide_batch_requires_crit_features(unknown_fit):
     test, _ = unknown_fit
     with pytest.raises(ValueError):
         pipeline.decide_batch(test, np.zeros((3, 2)), None)
+    with pytest.raises(ValueError):
+        pipeline.decide_batch(test, np.zeros((3, 2)), np.zeros(3))
 
 
 def test_unknown_type_i_on_and_off_grid(unknown_fit):
